@@ -22,30 +22,20 @@ both transmitters through the cross link.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nn
 from .channel import (
-    ChannelDistribution,
+    IMPERFECT,
+    ChannelConfig,
+    CsiInputs,
     EquivalentChannel,
-    EstimationConfig,
-    FeedbackMessage,
-    alpha_quantizer,
-    draw_accepted_estimate,
-    draw_channel,
-    normalize_imperfect,
-    quantize,
+    channel_context,
+    draw_channel,  # noqa: F401 -- module-level binding read by tracing tools
 )
 from .modem import Constellation, index_to_bits
-
-PERFECT = "perfect"
-IMPERFECT = "imperfect"
-
-# conventional sub-interval split of the interference range: one trained
-# model per interval, routed by the evaluation harness
-STANDARD_INTERVALS = tuple((lo / 2.0, lo / 2.0 + 0.5) for lo in range(6))
 
 
 class TrainingDiverged(RuntimeError):
@@ -64,13 +54,11 @@ class AblationFlags:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(ChannelConfig):
     """Hyperparameters of one training run (defaults follow the full-scale recipe)."""
 
-    n_bits: int = 2
     alpha_min: float = 0.0
     alpha_max: float = 0.5
-    total_power: float = 1.0
     train_snr_db: float = 10.0
     n_channels: int = 30000
     epochs_per_channel: int = 10
@@ -78,48 +66,21 @@ class TrainConfig:
     lr: float = 1e-2
     decay: float = 0.95
     decay_every: int = 200
-    seed: int = 0
-    csi_mode: str = PERFECT
-    sigma_e2: float = 0.0
-    threshold_t: float = 1.0
-    n_q: int = 3
-    mu_h: complex = 1.0 + 0j
-    sigma_h2: float = 0.1
     hidden_width: int = 64
     n_res_blocks: int = 2
     subnet2_width: int = 16
     flags: AblationFlags = field(default_factory=AblationFlags)
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.alpha_min < self.alpha_max:
             raise ValueError("need alpha_min < alpha_max")
-        if self.csi_mode not in (PERFECT, IMPERFECT):
-            raise ValueError(f"unknown csi_mode {self.csi_mode!r}")
-        for name in ("n_bits", "epochs_per_channel", "batch", "decay_every",
+        for name in ("epochs_per_channel", "batch", "decay_every",
                      "hidden_width", "subnet2_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.n_channels < 0 or self.n_res_blocks < 0:
             raise ValueError("counts must be nonnegative")
-
-    @property
-    def noise_var(self) -> float:
-        return self.total_power / 10.0 ** (self.train_snr_db / 10.0)
-
-
-@dataclass(frozen=True)
-class CsiInputs:
-    """Interference knowledge available at each node for one channel.
-
-    sa_* are sqrt-intensity values: the transmitters and Rx2 see the fed-back
-    (possibly quantized) value, Rx1 its own non-quantized estimate plus the
-    residual feedback angle.
-    """
-
-    sa_tx: float
-    sa_rx1: float
-    sa_rx2: float
-    theta_delta: float | None = None
 
 
 def receiver_scale(p_desired: float, noise_var: float) -> float:
@@ -366,38 +327,6 @@ def encode_constellation(model: ZicAutoencoder, sqrt_alpha: float
     )
 
 
-def _perfect_channel(alpha: float, dist: ChannelDistribution, noise_var: float,
-                     rng: np.random.Generator) -> tuple[EquivalentChannel, CsiInputs]:
-    """Per-channel setup of the training loop under perfect CSI."""
-    ch = draw_channel(dist, rng)
-    sa = math.sqrt(alpha)
-    eq = EquivalentChannel(
-        hbar11=1.0 + 0j, hbar21=complex(sa), hbar22=1.0 + 0j, sqrt_alpha=sa,
-        noise_var_rx1=noise_var / abs(ch.h11) ** 2,
-        noise_var_rx2=noise_var / abs(ch.h22) ** 2,
-    )
-    return eq, CsiInputs(sa_tx=sa, sa_rx1=sa, sa_rx2=sa)
-
-
-def _imperfect_channel(alpha: float, dist: ChannelDistribution,
-                       est_cfg: EstimationConfig, n_q: int, noise_var: float,
-                       rng: np.random.Generator) -> tuple[EquivalentChannel, CsiInputs]:
-    """Per-channel setup with estimation errors and a simulated feedback residual.
-
-    The residual angle is drawn uniformly from +-pi/2**n_q (the quantizer's
-    half segment) instead of quantizing a concrete phase; evaluation uses the
-    real quantizer.
-    """
-    ch, est = draw_accepted_estimate(dist, alpha, est_cfg, rng)
-    theta_delta = rng.uniform(-math.pi / 2**n_q, math.pi / 2**n_q)
-    alpha_q = quantize(alpha_quantizer(n_q), est.alpha_hat)
-    fb = FeedbackMessage(alpha_q=alpha_q, theta_q=est.theta_hat + theta_delta,
-                         theta_delta=theta_delta)
-    eq = normalize_imperfect(est, fb, ch, noise_var)
-    return eq, CsiInputs(sa_tx=math.sqrt(alpha_q), sa_rx1=math.sqrt(est.alpha_hat),
-                         sa_rx2=math.sqrt(alpha_q), theta_delta=theta_delta)
-
-
 def train(cfg: TrainConfig) -> tuple[ZicAutoencoder, list[dict]]:
     """Run the channel-iteration training schedule.
 
@@ -409,23 +338,17 @@ def train(cfg: TrainConfig) -> tuple[ZicAutoencoder, list[dict]]:
     rng_init, rng_channel, rng_data = (np.random.default_rng(s) for s in ss.spawn(3))
     model = ZicAutoencoder(cfg, rng_init)
     opt = nn.Adam(model.params(), lr=cfg.lr, decay=cfg.decay)
-    dist = ChannelDistribution(cfg.mu_h, cfg.sigma_h2)
-    est_cfg = EstimationConfig(cfg.sigma_e2, cfg.threshold_t)
-    noise_var = cfg.noise_var
     log: list[dict] = []
 
     for i_ch in range(cfg.n_channels):
         alpha = rng_channel.uniform(cfg.alpha_min, cfg.alpha_max)
-        if cfg.csi_mode == PERFECT:
-            eq, knows = _perfect_channel(alpha, dist, noise_var, rng_channel)
-        else:
-            eq, knows = _imperfect_channel(alpha, dist, est_cfg, cfg.n_q,
-                                           noise_var, rng_channel)
+        ctx = channel_context(cfg, alpha, cfg.train_snr_db, rng_channel,
+                              simulated_residual=True)
         losses = []
         for i_ep in range(cfg.epochs_per_channel):
             bits1 = rng_data.integers(0, 2, size=(cfg.batch, cfg.n_bits)).astype(float)
             bits2 = rng_data.integers(0, 2, size=(cfg.batch, cfg.n_bits)).astype(float)
-            p1, p2 = model.forward(bits1, bits2, eq, knows, noise_var, rng_data)
+            p1, p2 = model.forward(bits1, bits2, ctx.eq, ctx.csi, ctx.noise_var, rng_data)
             loss = nn.bce_loss(bits1, p1) + nn.bce_loss(bits2, p2)
             if not math.isfinite(loss):
                 raise TrainingDiverged(
@@ -450,7 +373,3 @@ ABLATION_EXPERIMENTS: dict[str, AblationFlags] = {
     "exp5": AblationFlags(alpha_to_rx=False),
     "exp6": AblationFlags(alpha_to_subnet2=False, use_subnet2=False),
 }
-
-
-def flags_as_dict(flags: AblationFlags) -> dict:
-    return asdict(flags)

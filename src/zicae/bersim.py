@@ -18,28 +18,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import modem
-from .autoencoder import CsiInputs, ZicAutoencoder
+from .autoencoder import ZicAutoencoder
 from .channel import (
-    ChannelDistribution,
+    ChannelConfig,
+    ChannelContext,
+    CsiInputs,
     EquivalentChannel,
-    EstimationConfig,
-    alpha_quantizer,
     apply_channel,
-    draw_accepted_estimate,
-    draw_channel,
-    make_feedback,
-    normalize_imperfect,
-    theta_quantizer,
+    channel_context,
+    draw_channel,  # noqa: F401 -- module-level binding read by tracing tools
 )
-
-PERFECT = "perfect"
-IMPERFECT = "imperfect"
 
 _CHUNK = 16384  # symbols per detection block, keeps distance matrices small
 
 
 @dataclass(frozen=True)
-class EvalConfig:
+class EvalConfig(ChannelConfig):
     """Grid, averaging, and adaptivity settings for one evaluation run."""
 
     snr_grid_db: tuple = (10.0,)
@@ -48,23 +42,13 @@ class EvalConfig:
     n_symbols_per_point: int | None = None  # None -> adaptive stopping
     min_errors: int = 100
     max_bits: int = 10_000_000
-    seed: int = 0
-    csi_mode: str = PERFECT
-    sigma_e2: float = 0.0
-    threshold_t: float = 1.0
-    n_q: int = 3
-    mu_h: complex = 1.0 + 0j
-    sigma_h2: float = 0.1
-    n_bits: int = 2
-    total_power: float = 1.0
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.snr_grid_db or not self.alpha_grid:
             raise ValueError("grids must be non-empty")
         if self.n_channel_draws < 1 or self.min_errors < 1 or self.max_bits < 1:
             raise ValueError("counts must be positive")
-        if self.csi_mode not in (PERFECT, IMPERFECT):
-            raise ValueError(f"unknown csi_mode {self.csi_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -115,64 +99,18 @@ def result_to_csv(result: BerResult, run_id: str | None = None) -> str:
 # -- channel contexts -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ChannelContext:
-    """Everything one channel draw fixes: equivalent gains and node knowledge."""
-
-    eq: EquivalentChannel
-    noise_var: float          # nominal sigma_N^2 at this SNR
-    alpha: float              # true interference intensity of the draw
-    sa_tx: float              # sqrt-intensity known at both transmitters (and Rx2)
-    sa_rx1: float             # sqrt-intensity assumed at Rx1
-    theta_delta: float = 0.0
-    imperfect: bool = False
-
-
-def noise_var_from_snr(snr_db: float, total_power: float = 1.0) -> float:
-    return total_power / 10.0 ** (snr_db / 10.0)
-
-
 def ideal_context(alpha: float, snr_db: float, total_power: float = 1.0) -> ChannelContext:
     """Unit direct gains and exact noise power: the analytic-oracle setting."""
-    nv = noise_var_from_snr(snr_db, total_power)
+    nv = ChannelConfig(total_power=total_power).noise_var(snr_db)
     sa = math.sqrt(alpha)
     eq = EquivalentChannel(1.0 + 0j, complex(sa), 1.0 + 0j, sa, nv, nv)
-    return ChannelContext(eq=eq, noise_var=nv, alpha=alpha, sa_tx=sa, sa_rx1=sa)
-
-
-def perfect_context(alpha: float, snr_db: float, dist: ChannelDistribution,
-                    total_power: float, rng: np.random.Generator) -> ChannelContext:
-    """Random direct gains; after normalization only the noise power varies."""
-    nv = noise_var_from_snr(snr_db, total_power)
-    ch = draw_channel(dist, rng)
-    sa = math.sqrt(alpha)
-    eq = EquivalentChannel(1.0 + 0j, complex(sa), 1.0 + 0j, sa,
-                           nv / abs(ch.h11) ** 2, nv / abs(ch.h22) ** 2)
-    return ChannelContext(eq=eq, noise_var=nv, alpha=alpha, sa_tx=sa, sa_rx1=sa)
-
-
-def imperfect_context(alpha: float, snr_db: float, dist: ChannelDistribution,
-                      est_cfg: EstimationConfig, n_q: int, total_power: float,
-                      rng: np.random.Generator) -> ChannelContext:
-    """Rejection-sampled estimated channel with real quantized feedback."""
-    nv = noise_var_from_snr(snr_db, total_power)
-    ch, est = draw_accepted_estimate(dist, alpha, est_cfg, rng)
-    fb = make_feedback(est, alpha_quantizer(n_q), theta_quantizer(n_q))
-    eq = normalize_imperfect(est, fb, ch, nv)
-    return ChannelContext(eq=eq, noise_var=nv, alpha=alpha,
-                          sa_tx=math.sqrt(fb.alpha_q),
-                          sa_rx1=math.sqrt(est.alpha_hat),
-                          theta_delta=fb.theta_delta, imperfect=True)
+    return ChannelContext(eq, nv, alpha, CsiInputs(sa, sa, sa))
 
 
 def draw_context(cfg: EvalConfig, alpha: float, snr_db: float,
                  rng: np.random.Generator) -> ChannelContext:
-    dist = ChannelDistribution(cfg.mu_h, cfg.sigma_h2)
-    if cfg.csi_mode == PERFECT:
-        return perfect_context(alpha, snr_db, dist, cfg.total_power, rng)
-    est_cfg = EstimationConfig(cfg.sigma_e2, cfg.threshold_t)
-    return imperfect_context(alpha, snr_db, dist, est_cfg, cfg.n_q,
-                             cfg.total_power, rng)
+    """One channel draw of a grid point, with the real feedback quantizer."""
+    return channel_context(cfg, alpha, snr_db, rng)
 
 
 # -- transmission schemes ----------------------------------------------------
@@ -197,7 +135,7 @@ class Baseline1:
 
     def detect(self, y1, y2, ctx: ChannelContext):
         c2 = self._tx2_constellation(ctx)
-        cross = ctx.sa_rx1 * np.exp(1j * ctx.theta_delta)
+        cross = ctx.csi.sa_rx1 * np.exp(1j * (ctx.csi.theta_delta or 0.0))
         return (modem.detect_rx1(y1, self.c1, c2, cross),
                 modem.detect_rx2(y2, c2))
 
@@ -220,7 +158,7 @@ class Baseline2(Baseline1):
         return theta
 
     def _tx2_constellation(self, ctx: ChannelContext) -> modem.Constellation:
-        return modem.rotate(self.c2, self.rotation_for(ctx.sa_tx))
+        return modem.rotate(self.c2, self.rotation_for(ctx.csi.sa_tx))
 
 
 class DaeScheme:
@@ -241,17 +179,13 @@ class DaeScheme:
         intervals = ", ".join(f"[{m.alpha_min:g}, {m.alpha_max:g}]" for m in self.models)
         raise LookupError(f"no trained model covers alpha={alpha:g} (have {intervals})")
 
-    def _knows(self, ctx: ChannelContext) -> CsiInputs:
-        return CsiInputs(sa_tx=ctx.sa_tx, sa_rx1=ctx.sa_rx1, sa_rx2=ctx.sa_tx,
-                         theta_delta=ctx.theta_delta if ctx.imperfect else None)
-
     def transmit(self, bits1, bits2, ctx: ChannelContext):
         model = self.route(ctx.alpha)
-        return model.transmit(bits1.astype(float), bits2.astype(float), ctx.sa_tx)
+        return model.transmit(bits1.astype(float), bits2.astype(float), ctx.csi.sa_tx)
 
     def detect(self, y1, y2, ctx: ChannelContext):
         model = self.route(ctx.alpha)
-        return model.receive(y1, y2, self._knows(ctx), ctx.noise_var)
+        return model.receive(y1, y2, ctx.csi, ctx.noise_var)
 
 
 # -- simulation core ---------------------------------------------------------
@@ -329,16 +263,6 @@ def sweep(cfg: EvalConfig, scheme) -> BerResult:
             result.points.append(evaluate_point(cfg, scheme, alpha, snr_db, index))
             index += 1
     return result
-
-
-def sweep_snr(cfg: EvalConfig, scheme) -> BerResult:
-    """BER versus SNR (alpha grid typically a single value)."""
-    return sweep(cfg, scheme)
-
-
-def sweep_alpha(cfg: EvalConfig, scheme) -> BerResult:
-    """BER versus interference intensity at fixed SNR(s)."""
-    return sweep(cfg, scheme)
 
 
 def compare_reduction(result_a: BerResult, result_b: BerResult) -> float:

@@ -12,19 +12,35 @@ each N(Re/Im(mu), var/2).
 
 Every operation is pure given an explicit ``numpy.random.Generator``; callers
 own their streams, so everything here is safe to use from parallel workers.
+
+:class:`ChannelConfig` holds the settings that training and evaluation share,
+and :func:`channel_context` draws one channel under them for either.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from functools import cached_property
 
 import numpy as np
+
+PERFECT = "perfect"
+IMPERFECT = "imperfect"
+
+# keep-rule attempts per channel draw before the estimation setting is
+# declared unusable; at an acceptance of 8e-4 a false trip has probability
+# about e^-80
+MAX_ESTIMATE_ATTEMPTS = 100_000
 
 
 class DegenerateChannelError(ValueError):
     """Raised when a direct channel gain is zero and cannot be normalized out."""
+
+
+class RejectionLimitError(ValueError):
+    """Raised when the keep rule rejects every estimate of one channel draw."""
 
 
 @dataclass(frozen=True)
@@ -79,6 +95,116 @@ class EstimationConfig:
             raise ValueError(f"threshold_T must be > 0, got {self.threshold_T}")
 
 
+_BOOL = {"1": True, "0": False, "true": True, "false": False, "yes": True, "no": False}
+
+
+def _default(f):
+    return f.default if f.default is not MISSING else f.default_factory()
+
+
+def _render(name: str, kind, value) -> list[tuple[str, str]]:
+    """Config-file ``(key, text)`` pairs of one field; ``kind`` is its default.
+
+    A complex field is written as ``<name>_re``/``<name>_im``, a nested
+    dataclass as one key per field, a tuple as a comma list and an optional
+    count (default None) as 0 when unset.
+    """
+    if isinstance(kind, complex):
+        return [(f"{name}_re", repr(value.real)), (f"{name}_im", repr(value.imag))]
+    if is_dataclass(kind):
+        return [pair for f in fields(kind)
+                for pair in _render(f.name, _default(f), getattr(value, f.name))]
+    if isinstance(kind, tuple):
+        return [(name, ",".join(repr(v) for v in value))]
+    if kind is None:
+        return [(name, str(value or 0))]
+    if isinstance(kind, bool):
+        return [(name, str(int(value)))]
+    return [(name, repr(value) if isinstance(value, float) else str(value))]
+
+
+def _parse(name: str, kind, base, raw: dict[str, str]):
+    """Inverse of :func:`_render`: the field's value from ``raw``, else ``base``."""
+    if isinstance(kind, complex):
+        return complex(_parse(f"{name}_re", 0.0, base.real, raw),
+                       _parse(f"{name}_im", 0.0, base.imag, raw))
+    if is_dataclass(kind):
+        return replace(base, **{f.name: _parse(f.name, _default(f), getattr(base, f.name), raw)
+                                for f in fields(kind)})
+    if name not in raw:
+        return base
+    text = raw[name]
+    try:
+        if isinstance(kind, tuple):
+            return tuple(float(v) for v in text.split(",") if v.strip())
+        if kind is None:
+            return int(text) or None
+        if isinstance(kind, bool):
+            return _BOOL[text.lower()]
+        return type(kind)(text)
+    except (ValueError, KeyError) as exc:
+        raise ValueError(f"bad value for {name!r}: {text!r}") from exc
+
+
+@dataclass(frozen=True)
+class ChannelConfig:
+    """Settings shared by training and evaluation: symbols, power, seed and CSI model.
+
+    Subclasses add their own fields; every field maps to config-file keys
+    through :meth:`config_items` and :meth:`from_config`.
+    """
+
+    n_bits: int = 2
+    total_power: float = 1.0
+    seed: int = 0
+    csi_mode: str = PERFECT
+    sigma_e2: float = 0.0
+    threshold_t: float = 1.0
+    n_q: int = 3
+    mu_h: complex = 1.0 + 0j
+    sigma_h2: float = 0.1
+
+    def __post_init__(self):
+        if self.csi_mode not in (PERFECT, IMPERFECT):
+            raise ValueError(f"unknown csi_mode {self.csi_mode!r}")
+        for name, ok, rule in (("n_bits", self.n_bits >= 1, ">= 1"),
+                               ("total_power", self.total_power > 0, "> 0"),
+                               ("sigma_h2", self.sigma_h2 >= 0, ">= 0"),
+                               ("n_q", self.n_q >= 1, ">= 1"),
+                               ("sigma_e2", self.sigma_e2 >= 0, ">= 0"),
+                               ("threshold_t", self.threshold_t > 0, "> 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
+    def noise_var(self, snr_db: float) -> float:
+        """Nominal noise power sigma_N^2 at ``snr_db`` for the total power budget."""
+        return self.total_power / 10.0 ** (snr_db / 10.0)
+
+    @cached_property
+    def distribution(self) -> ChannelDistribution:
+        return ChannelDistribution(self.mu_h, self.sigma_h2)
+
+    @cached_property
+    def estimation(self) -> EstimationConfig:
+        return EstimationConfig(self.sigma_e2, self.threshold_t)
+
+    def config_items(self, names=None) -> list[tuple[str, str]]:
+        """Config-file ``(key, text)`` pairs of the named fields (default: all), in order."""
+        kinds = {f.name: _default(f) for f in fields(self)}
+        return [pair for name in (names or kinds)
+                for pair in _render(name, kinds[name], getattr(self, name))]
+
+    @classmethod
+    def from_config(cls, raw: dict[str, str], base=None):
+        """Parse config-file keys; a key that is absent keeps ``base``'s value.
+
+        ``base`` defaults to ``cls()``; keys of other configs are ignored.
+        """
+        base = cls() if base is None else base
+        return replace(base, **{f.name: _parse(f.name, _default(f), getattr(base, f.name), raw)
+                                for f in fields(cls)})
+
+
 @dataclass(frozen=True)
 class EstimatedChannel:
     """Estimated gains, their errors (true h = hhat + eps), and derived CSI.
@@ -119,9 +245,6 @@ class Quantizer:
     @property
     def step(self) -> float:
         return (self.hi - self.lo) / (1 << self.n_bits)
-
-    def __call__(self, value: float) -> float:
-        return quantize(self, value)
 
 
 @dataclass(frozen=True)
@@ -293,14 +416,22 @@ def normalize_imperfect(est: EstimatedChannel, fb: FeedbackMessage,
 def draw_accepted_estimate(dist: ChannelDistribution, alpha: float,
                            cfg: EstimationConfig, rng: np.random.Generator
                            ) -> tuple[ChannelRealization, EstimatedChannel]:
-    """Rejection-sample (channel, estimate) pairs until the keep rule passes."""
-    while True:
+    """Rejection-sample (channel, estimate) pairs until the keep rule passes.
+
+    Raises :class:`RejectionLimitError` after ``MAX_ESTIMATE_ATTEMPTS`` tries.
+    """
+    for _ in range(MAX_ESTIMATE_ATTEMPTS):
         ch = draw_zic_channel(dist, alpha, rng)
         est = estimate(ch, cfg, rng)
         if abs(est.hhat11) == 0.0 or abs(est.hhat22) == 0.0:
             continue
         if accept_channel(est, cfg):
             return ch, est
+    raise RejectionLimitError(
+        f"no channel estimate passed the keep rule in {MAX_ESTIMATE_ATTEMPTS} attempts "
+        f"(observed acceptance 0/{MAX_ESTIMATE_ATTEMPTS}) at sigma_e2={cfg.sigma_E2!r}, "
+        f"threshold_t={cfg.threshold_T!r}, alpha={alpha:g}; "
+        "raise threshold_t or lower sigma_e2")
 
 
 def apply_channel(eq: EquivalentChannel, x1, x2, rng: np.random.Generator | None,
@@ -331,3 +462,60 @@ def _complex_noise(rng: np.random.Generator, var: float, shape):
     scale = math.sqrt(var / 2.0) if var > 0 else 0.0
     z = rng.standard_normal((*shape, 2)) if shape else rng.standard_normal(2)
     return scale * (z[..., 0] + 1j * z[..., 1])
+
+
+@dataclass(frozen=True)
+class CsiInputs:
+    """Interference knowledge available at each node for one channel.
+
+    sa_* are sqrt-intensity values: the transmitters and Rx2 see the fed-back
+    (possibly quantized) value, Rx1 its own non-quantized estimate plus the
+    residual feedback angle (None under perfect CSI).
+    """
+
+    sa_tx: float
+    sa_rx1: float
+    sa_rx2: float
+    theta_delta: float | None = None
+
+
+@dataclass(frozen=True)
+class ChannelContext:
+    """Everything one channel draw fixes: equivalent gains and node knowledge."""
+
+    eq: EquivalentChannel
+    noise_var: float          # nominal sigma_N^2 at this SNR
+    alpha: float              # true interference intensity of the draw
+    csi: CsiInputs
+
+
+def channel_context(cfg: ChannelConfig, alpha: float, snr_db: float,
+                    rng: np.random.Generator, simulated_residual: bool = False
+                    ) -> ChannelContext:
+    """Draw one channel at interference intensity ``alpha`` under ``cfg``'s CSI model.
+
+    Perfect CSI: random direct gains that, after normalization, only scale
+    the noise.  Imperfect CSI: a rejection-sampled estimated channel with
+    N_q-bit feedback of (alpha, theta).  With ``simulated_residual`` (the
+    training loop) the residual feedback angle is drawn uniformly from the
+    quantizer's half segment +-pi/2**n_q instead of quantizing the estimated
+    phase.
+    """
+    nv = cfg.noise_var(snr_db)
+    if cfg.csi_mode == PERFECT:
+        ch = draw_channel(cfg.distribution, rng)
+        sa = math.sqrt(alpha)
+        eq = EquivalentChannel(1.0 + 0j, complex(sa), 1.0 + 0j, sa,
+                               nv / abs(ch.h11) ** 2, nv / abs(ch.h22) ** 2)
+        return ChannelContext(eq, nv, alpha, CsiInputs(sa, sa, sa))
+    ch, est = draw_accepted_estimate(cfg.distribution, alpha, cfg.estimation, rng)
+    if simulated_residual:
+        theta_delta = rng.uniform(-math.pi / 2**cfg.n_q, math.pi / 2**cfg.n_q)
+        fb = FeedbackMessage(alpha_q=quantize(alpha_quantizer(cfg.n_q), est.alpha_hat),
+                             theta_q=est.theta_hat + theta_delta, theta_delta=theta_delta)
+    else:
+        fb = make_feedback(est, alpha_quantizer(cfg.n_q), theta_quantizer(cfg.n_q))
+    eq = normalize_imperfect(est, fb, ch, nv)
+    sa_q = math.sqrt(fb.alpha_q)
+    return ChannelContext(eq, nv, alpha, CsiInputs(sa_tx=sa_q, sa_rx1=math.sqrt(est.alpha_hat),
+                                                   sa_rx2=sa_q, theta_delta=fb.theta_delta))

@@ -18,27 +18,16 @@ import logging
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import bersim, modelio
-from .autoencoder import (
-    ABLATION_EXPERIMENTS,
-    AblationFlags,
-    TrainConfig,
-    encode_constellation,
-    train,
-)
+from .autoencoder import ABLATION_EXPERIMENTS, TrainConfig, encode_constellation, train
 from .bersim import BerResult, EvalConfig
+from .channel import RejectionLimitError
 from .modem import constellation_rows
 
 log = logging.getLogger("zicae")
-
-_BOOL = {"1": True, "0": False, "true": True, "false": False,
-         "yes": True, "no": False}
-
-_FLAG_KEYS = ("use_shortcuts", "alpha_to_subnet1", "alpha_to_subnet2",
-              "alpha_to_rx", "use_subnet2")
 
 
 class ConfigError(ValueError):
@@ -60,90 +49,19 @@ def parse_config_file(path) -> dict[str, str]:
     return out
 
 
-def _get(cfg: dict, key: str, cast, default):
-    if key not in cfg:
-        return default
+def config_from(cls, raw: dict, seed_override: int | None = None, base=None):
+    """A ``cls`` config from parsed key=value pairs; absent keys keep ``base``'s values."""
     try:
-        return cast(cfg[key])
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {cfg[key]!r}") from exc
-
-
-def _bool(s: str) -> bool:
-    return _BOOL[s.lower()]
-
-
-def _float_list(s: str) -> tuple:
-    return tuple(float(v) for v in s.split(",") if v.strip())
-
-
-def train_config_from(cfg: dict, seed_override: int | None = None) -> TrainConfig:
-    defaults = TrainConfig()
-    flags = AblationFlags(**{k: _get(cfg, k, _bool, getattr(AblationFlags(), k))
-                             for k in _FLAG_KEYS})
-    mu_h = complex(_get(cfg, "mu_h_re", float, defaults.mu_h.real),
-                   _get(cfg, "mu_h_im", float, defaults.mu_h.imag))
-    seed = seed_override if seed_override is not None else _get(cfg, "seed", int, defaults.seed)
-    try:
-        return TrainConfig(
-            n_bits=_get(cfg, "n_bits", int, defaults.n_bits),
-            alpha_min=_get(cfg, "alpha_min", float, defaults.alpha_min),
-            alpha_max=_get(cfg, "alpha_max", float, defaults.alpha_max),
-            total_power=_get(cfg, "total_power", float, defaults.total_power),
-            train_snr_db=_get(cfg, "train_snr_db", float, defaults.train_snr_db),
-            n_channels=_get(cfg, "n_channels", int, defaults.n_channels),
-            epochs_per_channel=_get(cfg, "epochs_per_channel", int, defaults.epochs_per_channel),
-            batch=_get(cfg, "batch", int, defaults.batch),
-            lr=_get(cfg, "lr", float, defaults.lr),
-            decay=_get(cfg, "decay", float, defaults.decay),
-            decay_every=_get(cfg, "decay_every", int, defaults.decay_every),
-            seed=seed,
-            csi_mode=_get(cfg, "csi_mode", str, defaults.csi_mode),
-            sigma_e2=_get(cfg, "sigma_e2", float, defaults.sigma_e2),
-            threshold_t=_get(cfg, "threshold_t", float, defaults.threshold_t),
-            n_q=_get(cfg, "n_q", int, defaults.n_q),
-            mu_h=mu_h,
-            sigma_h2=_get(cfg, "sigma_h2", float, defaults.sigma_h2),
-            hidden_width=_get(cfg, "hidden_width", int, defaults.hidden_width),
-            n_res_blocks=_get(cfg, "n_res_blocks", int, defaults.n_res_blocks),
-            subnet2_width=_get(cfg, "subnet2_width", int, defaults.subnet2_width),
-            flags=flags,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def eval_config_from(cfg: dict, seed_override: int | None = None) -> EvalConfig:
-    defaults = EvalConfig()
-    seed = seed_override if seed_override is not None else _get(cfg, "seed", int, defaults.seed)
-    n_sym = _get(cfg, "n_symbols_per_point", int, 0)
-    mu_h = complex(_get(cfg, "mu_h_re", float, defaults.mu_h.real),
-                   _get(cfg, "mu_h_im", float, defaults.mu_h.imag))
-    try:
-        return EvalConfig(
-            snr_grid_db=_get(cfg, "snr_grid_db", _float_list, defaults.snr_grid_db),
-            alpha_grid=_get(cfg, "alpha_grid", _float_list, defaults.alpha_grid),
-            n_channel_draws=_get(cfg, "n_channel_draws", int, defaults.n_channel_draws),
-            n_symbols_per_point=n_sym or None,
-            min_errors=_get(cfg, "min_errors", int, defaults.min_errors),
-            max_bits=_get(cfg, "max_bits", int, defaults.max_bits),
-            seed=seed,
-            csi_mode=_get(cfg, "csi_mode", str, defaults.csi_mode),
-            sigma_e2=_get(cfg, "sigma_e2", float, defaults.sigma_e2),
-            threshold_t=_get(cfg, "threshold_t", float, defaults.threshold_t),
-            n_q=_get(cfg, "n_q", int, defaults.n_q),
-            mu_h=mu_h,
-            sigma_h2=_get(cfg, "sigma_h2", float, defaults.sigma_h2),
-            n_bits=_get(cfg, "n_bits", int, defaults.n_bits),
-            total_power=_get(cfg, "total_power", float, defaults.total_power),
-        )
+        cfg = cls.from_config(raw, base)
+        return cfg if seed_override is None else replace(cfg, seed=seed_override)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def eval_config_text(cfg: EvalConfig) -> str:
     """Canonical rendering used for run ids and manifests."""
-    rows = [f"{k}={v!r}" for k, v in sorted(vars(cfg).items())]
+    rows = [f"{f.name}={getattr(cfg, f.name)!r}"
+            for f in sorted(fields(cfg), key=lambda f: f.name)]
     return "\n".join(rows) + "\n"
 
 
@@ -182,7 +100,7 @@ def _write_text(path, text: str) -> None:
 def cmd_train(args) -> int:
     started = _now()
     raw = parse_config_file(args.config)
-    cfg = train_config_from(raw, args.seed)
+    cfg = config_from(TrainConfig, raw, args.seed)
     log.info("training: %d channels x %d epochs, batch %d, alpha [%g, %g], %s CSI",
              cfg.n_channels, cfg.epochs_per_channel, cfg.batch,
              cfg.alpha_min, cfg.alpha_max, cfg.csi_mode)
@@ -243,7 +161,7 @@ def _build_scheme(args, cfg: EvalConfig):
 def cmd_eval(args) -> int:
     started = _now()
     raw = parse_config_file(args.config)
-    cfg = eval_config_from(raw, args.seed)
+    cfg = config_from(EvalConfig, raw, args.seed)
     scheme, model_paths = _build_scheme(args, cfg)
 
     points = [(snr, alpha) for snr in cfg.snr_grid_db for alpha in cfg.alpha_grid]
@@ -295,24 +213,24 @@ def cmd_export_constellation(args) -> int:
 
 
 ABLATION_ALPHAS = (0.5, 1.0, 1.5)
+# the evaluation keys an ablation config may set; the grid and CSI are fixed
+ABLATION_EVAL_KEYS = ("n_channel_draws", "n_symbols_per_point", "min_errors", "max_bits")
 
 
 def cmd_ablation(args) -> int:
     started = _now()
     raw = parse_config_file(args.config)
-    base = train_config_from(raw, args.seed)
+    base = config_from(TrainConfig, raw, args.seed)
     if base.alpha_min > min(ABLATION_ALPHAS) or base.alpha_max < max(ABLATION_ALPHAS):
         raise ConfigError(
             f"ablation config must cover alpha in {list(ABLATION_ALPHAS)}; "
             f"got [{base.alpha_min:g}, {base.alpha_max:g}]")
 
-    eval_cfg = EvalConfig(
-        snr_grid_db=(10.0,), alpha_grid=ABLATION_ALPHAS,
-        n_channel_draws=_get(raw, "n_channel_draws", int, 10),
-        n_symbols_per_point=_get(raw, "n_symbols_per_point", int, 0) or None,
-        min_errors=_get(raw, "min_errors", int, 100),
-        max_bits=_get(raw, "max_bits", int, 2_000_000),
-        seed=base.seed, n_bits=base.n_bits, total_power=base.total_power)
+    eval_cfg = config_from(
+        EvalConfig, {k: raw[k] for k in ABLATION_EVAL_KEYS if k in raw},
+        base=EvalConfig(snr_grid_db=(10.0,), alpha_grid=ABLATION_ALPHAS,
+                        n_channel_draws=10, max_bits=2_000_000, seed=base.seed,
+                        n_bits=base.n_bits, total_power=base.total_power))
 
     table: dict[str, BerResult] = {}
     for name, flags in ABLATION_EXPERIMENTS.items():
@@ -376,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablation", help="train and compare architecture variants")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_ablation)
 
@@ -396,9 +313,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, LookupError) as exc:
+    except (ConfigError, RejectionLimitError, LookupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ConfigError) else 1
+        return 1 if isinstance(exc, LookupError) else 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"error: {exc}", file=sys.stderr)
         return 1

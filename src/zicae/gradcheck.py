@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn
-from .autoencoder import CsiInputs, TrainConfig, ZicAutoencoder
-from .channel import EquivalentChannel
+from .autoencoder import TrainConfig, ZicAutoencoder
+from .channel import IMPERFECT, PERFECT, CsiInputs, EquivalentChannel
 
 FD_STEP = 1e-5
 
@@ -23,7 +23,7 @@ def _system_loss(model: ZicAutoencoder, bits1, bits2, eq, knows, noise_var) -> f
 
 def max_relative_gradient_error(seed: int = 0, batch: int = 16, n_bits: int = 2,
                                 hidden_width: int = 8, subnet2_width: int = 4,
-                                n_res_blocks: int = 2, csi_mode: str = "perfect",
+                                n_res_blocks: int = 2, csi_mode: str = PERFECT,
                                 step: float = FD_STEP) -> float:
     """Largest relative analytic-vs-numeric gradient error over all parameters."""
     cfg = TrainConfig(n_channels=0, n_bits=n_bits, batch=batch,
@@ -38,10 +38,10 @@ def max_relative_gradient_error(seed: int = 0, batch: int = 16, n_bits: int = 2,
     alpha = 1.2
     eq = EquivalentChannel(1.0 + 0j, complex(np.sqrt(alpha)), 1.0 + 0j,
                            float(np.sqrt(alpha)), 0.08, 0.11)
-    theta = 0.1 if csi_mode == "imperfect" else None
+    theta = 0.1 if csi_mode == IMPERFECT else None
     knows = CsiInputs(sa_tx=float(np.sqrt(alpha)), sa_rx1=float(np.sqrt(alpha)),
                       sa_rx2=float(np.sqrt(alpha)), theta_delta=theta)
-    noise_var = cfg.noise_var
+    noise_var = cfg.noise_var(cfg.train_snr_db)
 
     p1, p2 = model.forward(bits1, bits2, eq, knows, noise_var, rng=None, training=True)
     model.backward(bits1, bits2, p1, p2)

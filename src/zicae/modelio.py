@@ -14,15 +14,17 @@ Writing the same trained model twice produces byte-identical files.
 from __future__ import annotations
 
 import hashlib
+from itertools import zip_longest
 
 import numpy as np
 
-from .autoencoder import AblationFlags, Receiver, TrainConfig, Transmitter, ZicAutoencoder
+from .autoencoder import Receiver, TrainConfig, Transmitter, ZicAutoencoder
 
 MAGIC = "ZICAE-MODEL v1"
 
-_FLAG_NAMES = ("use_shortcuts", "alpha_to_subnet1", "alpha_to_subnet2",
-               "alpha_to_rx", "use_subnet2")
+# the TrainConfig fields a model is rebuilt from, in header order
+ARCH_FIELDS = ("n_bits", "csi_mode", "alpha_min", "alpha_max", "total_power",
+               "train_snr_db", "hidden_width", "n_res_blocks", "subnet2_width", "flags")
 
 
 def _dense_layers(stack) -> list:
@@ -61,32 +63,7 @@ def model_arrays(model: ZicAutoencoder) -> list[tuple[str, np.ndarray]]:
 
 def config_text(cfg: TrainConfig) -> str:
     """Canonical flat key=value rendering of a training config."""
-    lines = [
-        f"n_bits={cfg.n_bits}",
-        f"alpha_min={cfg.alpha_min!r}",
-        f"alpha_max={cfg.alpha_max!r}",
-        f"total_power={cfg.total_power!r}",
-        f"train_snr_db={cfg.train_snr_db!r}",
-        f"n_channels={cfg.n_channels}",
-        f"epochs_per_channel={cfg.epochs_per_channel}",
-        f"batch={cfg.batch}",
-        f"lr={cfg.lr!r}",
-        f"decay={cfg.decay!r}",
-        f"decay_every={cfg.decay_every}",
-        f"seed={cfg.seed}",
-        f"csi_mode={cfg.csi_mode}",
-        f"sigma_e2={cfg.sigma_e2!r}",
-        f"threshold_t={cfg.threshold_t!r}",
-        f"n_q={cfg.n_q}",
-        f"mu_h_re={cfg.mu_h.real!r}",
-        f"mu_h_im={cfg.mu_h.imag!r}",
-        f"sigma_h2={cfg.sigma_h2!r}",
-        f"hidden_width={cfg.hidden_width}",
-        f"n_res_blocks={cfg.n_res_blocks}",
-        f"subnet2_width={cfg.subnet2_width}",
-    ]
-    lines += [f"{f}={int(getattr(cfg.flags, f))}" for f in _FLAG_NAMES]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key}={text}\n" for key, text in cfg.config_items())
 
 
 def _sha256(data: bytes) -> str:
@@ -97,17 +74,9 @@ def save_model(path, model: ZicAutoencoder, cfg: TrainConfig | None = None) -> N
     arrays = model_arrays(model)
     header = [MAGIC,
               f"arch_sha256={_sha256(model.arch_descriptor().encode())}",
-              f"config_sha256={_sha256(config_text(cfg).encode()) if cfg else '-'}",
-              f"n_bits={model.n_bits}",
-              f"csi_mode={model.csi_mode}",
-              f"alpha_min={model.alpha_min!r}",
-              f"alpha_max={model.alpha_max!r}",
-              f"total_power={model.total_power!r}",
-              f"train_snr_db={model.train_snr_db!r}",
-              f"hidden_width={model.hidden_width}",
-              f"n_res_blocks={model.n_res_blocks}",
-              f"subnet2_width={model.subnet2_width}"]
-    header += [f"{f}={int(getattr(model.flags, f))}" for f in _FLAG_NAMES]
+              f"config_sha256={_sha256(config_text(cfg).encode()) if cfg else '-'}"]
+    arch = TrainConfig(**{name: getattr(model, name) for name in ARCH_FIELDS})
+    header += [f"{key}={text}" for key, text in arch.config_items(ARCH_FIELDS)]
     header.append(f"arrays={len(arrays)}")
     for name, arr in arrays:
         shape = "x".join(str(d) for d in np.atleast_1d(arr).shape)
@@ -120,47 +89,61 @@ def save_model(path, model: ZicAutoencoder, cfg: TrainConfig | None = None) -> N
 
 
 def load_model(path) -> ZicAutoencoder:
+    """Rebuild a saved model; any deviation from the saved layout raises ValueError.
+
+    The header must hold each expected key once, an ``arch_sha256`` matching
+    the rebuilt architecture, and exactly the rebuilt model's arrays, in
+    order and with their shapes, followed by a payload of exactly their size.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
-    sep = raw.find(b"DATA\n")
-    if not raw.startswith(MAGIC.encode()) or sep < 0:
+    sep = raw.find(b"\nDATA\n")
+    if not raw.startswith(MAGIC.encode() + b"\n") or sep < 0:
         raise ValueError(f"{path}: not a model file")
-    head = raw[:sep].decode().splitlines()[1:]
-    blob = raw[sep + len(b"DATA\n"):]
+    try:
+        return _read_model(raw[:sep].decode().split("\n")[1:], raw[sep + len(b"\nDATA\n"):])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
+
+def _read_model(head: list[str], blob: bytes) -> ZicAutoencoder:
     meta: dict[str, str] = {}
     shapes: list[tuple[str, tuple[int, ...]]] = []
     for line in head:
-        key, _, value = line.partition("=")
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ValueError(f"bad header line {line!r}")
         if key == "array":
             name, _, dims = value.partition(":")
             shapes.append((name, tuple(int(d) for d in dims.split("x"))))
+        elif key in meta:
+            raise ValueError(f"header key {key!r} repeated")
         else:
             meta[key] = value
+    expected = {"arch_sha256", "config_sha256", "arrays",
+                *(key for key, _ in TrainConfig().config_items(ARCH_FIELDS))}
+    if set(meta) != expected:
+        raise ValueError(f"missing header keys {sorted(expected - set(meta))}, "
+                         f"unknown header keys {sorted(set(meta) - expected)}")
 
-    flags = AblationFlags(**{f: bool(int(meta[f])) for f in _FLAG_NAMES})
-    cfg = TrainConfig(
-        n_bits=int(meta["n_bits"]), csi_mode=meta["csi_mode"],
-        alpha_min=float(meta["alpha_min"]), alpha_max=float(meta["alpha_max"]),
-        total_power=float(meta["total_power"]),
-        train_snr_db=float(meta["train_snr_db"]),
-        hidden_width=int(meta["hidden_width"]),
-        n_res_blocks=int(meta["n_res_blocks"]),
-        subnet2_width=int(meta["subnet2_width"]), flags=flags)
-    model = ZicAutoencoder(cfg, np.random.default_rng(0))
-
-    arrays = dict(model_arrays(model))
+    model = ZicAutoencoder(TrainConfig.from_config(meta), np.random.default_rng(0))
+    if meta["arch_sha256"] != _sha256(model.arch_descriptor().encode()):
+        raise ValueError("arch_sha256 does not match the architecture in the header")
+    arrays = model_arrays(model)
+    layout = [(name, np.atleast_1d(arr).shape) for name, arr in arrays]
+    if meta["arrays"] != str(len(layout)):
+        raise ValueError(f"arrays={meta['arrays']}, the architecture has {len(layout)}")
+    for i, (got, want) in enumerate(zip_longest(shapes, layout)):
+        if got != want:
+            raise ValueError(f"array entry {i} is {got}, the architecture needs {want}")
+    size = 8 * sum(arr.size for _, arr in arrays)
+    if len(blob) != size:
+        raise ValueError(f"payload has {len(blob)} bytes, the arrays need {size}")
     offset = 0
-    for name, shape in shapes:
-        if name not in arrays:
-            raise ValueError(f"{path}: unknown array {name!r}")
-        target = arrays[name]
-        count = int(np.prod(shape))
-        values = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        offset += count * 8
-        target[...] = values.reshape(target.shape)
-    if offset != len(blob):
-        raise ValueError(f"{path}: payload size mismatch")
+    for _, arr in arrays:
+        arr[...] = np.frombuffer(blob, dtype="<f8", count=arr.size,
+                                 offset=offset).reshape(arr.shape)
+        offset += 8 * arr.size
     return model
 
 

@@ -9,20 +9,16 @@ from zicae.bersim import (
     Baseline2,
     BerPoint,
     BerResult,
-    ChannelContext,
     DaeScheme,
     EvalConfig,
     compare_reduction,
     evaluate_point,
     ideal_context,
-    noise_var_from_snr,
     result_to_csv,
     run_point,
     sweep,
-    sweep_alpha,
-    sweep_snr,
 )
-from zicae.channel import EquivalentChannel
+from zicae.channel import ChannelConfig, ChannelContext, CsiInputs, EquivalentChannel
 
 
 def qfunc(x):
@@ -32,7 +28,7 @@ def qfunc(x):
 def _noiseless_context(alpha):
     sa = math.sqrt(alpha)
     eq = EquivalentChannel(1 + 0j, complex(sa), 1 + 0j, sa, 0.0, 0.0)
-    return ChannelContext(eq=eq, noise_var=1e-9, alpha=alpha, sa_tx=sa, sa_rx1=sa)
+    return ChannelContext(eq=eq, noise_var=1e-9, alpha=alpha, csi=CsiInputs(sa, sa, sa))
 
 
 def test_noiseless_no_interference_is_error_free():
@@ -57,7 +53,7 @@ def test_baseline2_monotone_in_snr():
     cfg = EvalConfig(snr_grid_db=(4.0, 8.0, 12.0), alpha_grid=(1.0,),
                      n_channel_draws=2, n_symbols_per_point=30_000, seed=5,
                      sigma_h2=0.0)
-    result = sweep_snr(cfg, Baseline2(2))
+    result = sweep(cfg, Baseline2(2))
     bers = [p.ber_worst for p in result.points]
     ns = [p.n_bits_simulated for p in result.points]
     for (b_lo, n_lo), (b_hi, n_hi) in zip(zip(bers, ns), list(zip(bers, ns))[1:]):
@@ -75,7 +71,7 @@ def test_stderr_scales_inverse_sqrt():
 def test_sweep_alpha_baseline1_peaks_at_unit_interference():
     cfg = EvalConfig(snr_grid_db=(10.0,), alpha_grid=(0.5, 1.0, 1.5),
                      n_channel_draws=5, n_symbols_per_point=20_000, seed=6)
-    result = sweep_alpha(cfg, Baseline1(2))
+    result = sweep(cfg, Baseline1(2))
     b = {p.alpha: p.ber_worst for p in result.points}
     assert b[1.0] > b[0.5]
     assert b[1.0] > b[1.5]
@@ -184,8 +180,8 @@ def test_csv_output_shape():
 
 
 def test_noise_var_from_snr():
-    assert noise_var_from_snr(10.0) == pytest.approx(0.1)
-    assert noise_var_from_snr(0.0, 2.0) == pytest.approx(2.0)
+    assert ChannelConfig().noise_var(10.0) == pytest.approx(0.1)
+    assert ChannelConfig(total_power=2.0).noise_var(0.0) == pytest.approx(2.0)
 
 
 def test_sweep_reproduces_awgn_oracle_at_zero_alpha():

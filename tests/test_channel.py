@@ -4,7 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from zicae import channel
+from zicae.autoencoder import AblationFlags, TrainConfig
+from zicae.bersim import EvalConfig
 from zicae.channel import (
+    ChannelConfig,
     ChannelDistribution,
     ChannelRealization,
     DegenerateChannelError,
@@ -12,9 +16,11 @@ from zicae.channel import (
     EstimatedChannel,
     FeedbackMessage,
     Quantizer,
+    RejectionLimitError,
     accept_channel,
     alpha_quantizer,
     apply_channel,
+    channel_context,
     complex_gaussian,
     draw_accepted_estimate,
     draw_channel,
@@ -267,3 +273,63 @@ def test_apply_channel_noise_variance():
     x = np.zeros(1_000_000, dtype=complex)
     _, y2 = apply_channel(eq, x, x, rng)
     assert abs(np.mean(np.abs(y2) ** 2) - 0.1) < 0.001
+
+
+def test_rejection_loop_stops_at_the_attempt_cap(monkeypatch):
+    monkeypatch.setattr(channel, "MAX_ESTIMATE_ATTEMPTS", 500)
+    dist = ChannelDistribution(1.0, 0.1)
+    with pytest.raises(RejectionLimitError, match=r"500 attempts.*sigma_e2=2.0.*threshold_t=0.05"):
+        draw_accepted_estimate(dist, 1.0, EstimationConfig(2.0, 0.05), np.random.default_rng(20))
+
+
+@pytest.mark.parametrize("cls", [TrainConfig, EvalConfig])
+@pytest.mark.parametrize("key,value", [
+    ("n_bits", 0), ("total_power", 0.0), ("sigma_h2", -0.1), ("n_q", 0),
+    ("sigma_e2", -0.01), ("threshold_t", 0.0), ("csi_mode", "psychic"),
+])
+def test_channel_config_rejects_bad_values(cls, key, value):
+    with pytest.raises(ValueError, match=key):
+        cls(**{key: value})
+
+
+def test_config_keys_round_trip():
+    train = TrainConfig(n_bits=3, alpha_min=0.25, alpha_max=0.75, seed=7, csi_mode="imperfect",
+                        sigma_e2=0.05, mu_h=0.9 - 0.2j, flags=AblationFlags(alpha_to_rx=False))
+    evals = [EvalConfig(snr_grid_db=(0.0, 12.5), alpha_grid=(0.1,), n_symbols_per_point=300,
+                        max_bits=5000, mu_h=1.1 + 0.3j, n_q=4),
+             EvalConfig()]
+    for cfg in [train, TrainConfig(), *evals]:
+        items = cfg.config_items()
+        assert len({key for key, _ in items}) == len(items)
+        assert type(cfg).from_config(dict(items)) == cfg
+    assert ("n_symbols_per_point", "0") in EvalConfig().config_items()
+    assert dict(train.config_items())["alpha_to_rx"] == "0"
+    assert TrainConfig.from_config({"mu_h_im": "0.5"}).mu_h == 1.0 + 0.5j
+
+
+def test_config_from_rejects_bad_value_naming_key():
+    with pytest.raises(ValueError, match="'use_shortcuts'"):
+        TrainConfig.from_config({"use_shortcuts": "maybe"})
+    with pytest.raises(ValueError, match="'alpha_grid'"):
+        EvalConfig.from_config({"alpha_grid": "1, x"})
+
+
+def test_channel_context_perfect_knowledge():
+    cfg = ChannelConfig(sigma_h2=0.2)
+    ctx = channel_context(cfg, 0.81, 10.0, np.random.default_rng(21))
+    assert ctx.csi == channel.CsiInputs(0.9, 0.9, 0.9, None)
+    assert ctx.eq.hbar21 == 0.9 and ctx.noise_var == pytest.approx(0.1)
+
+
+def test_channel_context_residual_angle_per_caller():
+    cfg = ChannelConfig(csi_mode="imperfect", sigma_e2=0.05, n_q=2)
+    half = math.pi / 4
+    for seed in range(50):
+        trained = channel_context(cfg, 1.0, 10.0, np.random.default_rng(seed),
+                                  simulated_residual=True)
+        evaluated = channel_context(cfg, 1.0, 10.0, np.random.default_rng(seed))
+        assert abs(trained.csi.theta_delta) <= half
+        assert abs(evaluated.csi.theta_delta) <= half + 1e-12
+        # the channel and the estimate come first in the stream, so both agree on them
+        assert trained.csi.sa_rx1 == evaluated.csi.sa_rx1
+        assert trained.csi.sa_tx == evaluated.csi.sa_tx == trained.csi.sa_rx2

@@ -218,5 +218,40 @@ def test_ablation_rejects_uncovering_config(tmp_path, capsys):
     assert "cover" in capsys.readouterr().err
 
 
+HARSH_ESTIMATION = "csi_mode = imperfect\nsigma_e2 = 2\nthreshold_t = 0.05\n"
+
+
+@pytest.mark.parametrize("command,text,extra", [
+    ("train", TINY_TRAIN, []),
+    ("eval", EVAL_CFG, ["--scheme", "baseline2"]),
+], ids=["train", "eval"])
+def test_unusable_estimation_setting_fails_fast(tmp_path, capsys, command, text, extra):
+    # 0 of 20000 estimates pass the keep rule here; the attempt cap ends the run
+    cfg = _write(tmp_path, "c.cfg", text + HARSH_ESTIMATION)
+    rc = main([command, "--config", str(cfg), *extra, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "sigma_e2=2.0" in err and "threshold_t=0.05" in err
+    assert "100000 attempts" in err and "acceptance 0/100000" in err
+
+
+@pytest.mark.parametrize("line", ["n_bits = 0", "total_power = 0", "sigma_h2 = -1",
+                                  "n_q = 0", "sigma_e2 = -0.1", "threshold_t = 0",
+                                  "csi_mode = psychic"])
+def test_eval_invalid_channel_value_exits_2(tmp_path, capsys, line):
+    cfg = _write(tmp_path, "e.cfg", EVAL_CFG + line + "\n")
+    rc = main(["eval", "--config", str(cfg), "--scheme", "baseline1",
+               "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    assert line.split()[0] in capsys.readouterr().err
+
+
+def test_ablation_has_no_threads_option(tmp_path):
+    cfg = _write(tmp_path, "a.cfg", ABLATION_CFG)
+    with pytest.raises(SystemExit):
+        main(["ablation", "--config", str(cfg), "--out", str(tmp_path / "a.csv"),
+              "--threads", "2"])
+
+
 def test_selftest_passes():
     assert main(["selftest"]) == 0

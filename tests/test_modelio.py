@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -80,3 +82,105 @@ def test_load_rejects_non_model(tmp_path):
     path.write_bytes(b"not a model at all")
     with pytest.raises(ValueError):
         load_model(path)
+
+
+def _saved(tmp_path, seed=6):
+    model = _model(seed)
+    path = tmp_path / "m.zicmodel"
+    save_model(path, model, CFG)
+    return model, path, path.read_bytes()
+
+
+def _same_model(a, b) -> bool:
+    meta = ("arch_descriptor", "alpha_min", "alpha_max", "total_power", "train_snr_db")
+    values = [getattr(m, k)() if k == "arch_descriptor" else getattr(m, k)
+              for m in (a, b) for k in meta]
+    return (values[:len(meta)] == values[len(meta):]
+            and all(na == nb and np.array_equal(x, y)
+                    for (na, x), (nb, y) in zip(model_arrays(a), model_arrays(b))))
+
+
+def _replace_line(data: bytes, pattern: str, new: bytes) -> bytes:
+    head, sep, blob = data.partition(b"\nDATA\n")
+    lines = head.split(b"\n")
+    i = next(i for i, line in enumerate(lines) if re.match(pattern, line.decode()))
+    lines[i:i + 1] = [new] if new else []
+    return b"\n".join(lines) + sep + blob
+
+
+def test_load_rejects_a_missing_array(tmp_path):
+    model, path, data = _saved(tmp_path)
+    size = model.rx2.net[-1].b.size * 8
+    path.write_bytes(_replace_line(data, "array=rx2.net.3.b:", b"")[:-size])
+    with pytest.raises(ValueError, match="m.zicmodel.*array entry"):
+        load_model(path)
+
+
+def test_load_rejects_a_wrong_arch_hash(tmp_path):
+    _, path, data = _saved(tmp_path)
+    path.write_bytes(_replace_line(data, "arch_sha256=", b"arch_sha256=" + b"0" * 64))
+    with pytest.raises(ValueError, match="arch_sha256"):
+        load_model(path)
+
+
+def test_load_names_the_file_for_a_missing_header_key(tmp_path):
+    _, path, data = _saved(tmp_path)
+    path.write_bytes(_replace_line(data, "use_shortcuts=", b""))
+    with pytest.raises(ValueError, match="m.zicmodel.*use_shortcuts"):
+        load_model(path)
+
+
+def _corruptions(data: bytes, rng):
+    """(label, bytes) pairs: truncations, dropped, repeated, reshaped and edited lines."""
+    head, sep, blob = data.partition(b"\nDATA\n")
+    lines = head.split(b"\n")
+
+    def join(new_lines):
+        return b"\n".join(new_lines) + sep + blob
+
+    cuts = set(rng.integers(1, len(data), 40).tolist())
+    cuts |= {len(head), len(head) + 1, len(head) + len(sep), len(data) - 1}
+    for cut in sorted(cuts):
+        yield f"truncated at {cut}", data[:cut]
+    arrays = [i for i, line in enumerate(lines) if line.startswith(b"array=")]
+    for i in arrays:
+        yield f"dropped line {i}", join(lines[:i] + lines[i + 1:])
+        yield f"repeated line {i}", join(lines[:i + 1] + lines[i:])
+    for i, j in zip(arrays, arrays[1:]):
+        swapped = list(lines)
+        swapped[i], swapped[j] = lines[j], lines[i]
+        yield f"swapped lines {i}, {j}", join(swapped)
+        a, _, shape_a = lines[i].rpartition(b":")
+        b, _, shape_b = lines[j].rpartition(b":")
+        if shape_a != shape_b:
+            reshaped = list(lines)
+            reshaped[i], reshaped[j] = a + b":" + shape_b, b + b":" + shape_a
+            yield f"swapped shapes {i}, {j}", join(reshaped)
+    # alpha_min, alpha_max, total_power and train_snr_db are covered by no
+    # hash, so only garbled values of theirs can be caught
+    unhashed = (b"alpha_min", b"alpha_max", b"total_power", b"train_snr_db")
+    for i, line in enumerate(lines[1:], start=1):
+        key, _, value = line.partition(b"=")
+        if key == b"array":
+            continue
+        edits = [b"", b"x", b"1.2.3", value + b"x"]
+        if key not in unhashed:
+            edits += [b"0", b"1", b"3", b"-1", b"perfect", value + b"0", value[:-1]]
+        for new in edits:
+            yield f"{key.decode()}={new!r}", join(lines[:i] + [key + b"=" + new] + lines[i + 1:])
+
+
+def test_load_corruption_fuzz(tmp_path):
+    model, path, data = _saved(tmp_path)
+    outcomes = {"raised": 0, "equal": 0}
+    for label, corrupted in _corruptions(data, np.random.default_rng(7)):
+        path.write_bytes(corrupted)
+        try:
+            loaded = load_model(path)
+        except ValueError as exc:
+            assert str(path) in str(exc), label
+            outcomes["raised"] += 1
+            continue
+        assert _same_model(loaded, model), label
+        outcomes["equal"] += 1
+    assert outcomes["raised"] > 200
