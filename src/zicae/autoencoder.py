@@ -35,7 +35,7 @@ from .channel import (
     channel_context,
     draw_channel,  # noqa: F401 -- module-level binding read by tracing tools
 )
-from .modem import Constellation, index_to_bits
+from .modem import Constellation, bits_to_index, index_to_bits
 
 
 class TrainingDiverged(RuntimeError):
@@ -93,8 +93,23 @@ def _complex_matrix(h: complex) -> np.ndarray:
     return np.array([[h.real, -h.imag], [h.imag, h.real]])
 
 
+def pattern_index(bits, n_bits: int) -> np.ndarray:
+    """Label of each bit row (MSB first); anything but 0/1 rows of n_bits is an error."""
+    bits = np.asarray(bits)
+    if bits.ndim != 2 or bits.shape[1] != n_bits:
+        raise ValueError(f"expected rows of {n_bits} bits, got shape {bits.shape}")
+    if not np.all((bits == 0) | (bits == 1)):
+        raise ValueError("transmitter inputs must be 0/1 bits")
+    return bits_to_index(bits)
+
+
 class Transmitter:
-    """Bit vector -> I/Q symbol with an average power constraint."""
+    """Bit vector -> I/Q symbol with an average power constraint.
+
+    Branch 1's dense stack sees only the 2**n_bits bit patterns (plus the
+    fed-back sqrt(alpha)), so it runs on those rows alone; the batch rows
+    are gathered from them, and their gradients summed back onto them.
+    """
 
     def __init__(self, n_bits: int, flags: AblationFlags, total_power: float,
                  hidden_width: int, n_res_blocks: int, subnet2_width: int,
@@ -116,16 +131,19 @@ class Transmitter:
         else:
             self.net2 = []
             self.pnorm = None
+        self.patterns = index_to_bits(np.arange(1 << n_bits), n_bits).astype(float)
+        self._idx = None
         self._xb = None
         self._gamma = None
 
     def forward(self, bits: np.ndarray, sqrt_alpha: float, training: bool) -> np.ndarray:
-        x = np.asarray(bits, dtype=float)
+        idx = pattern_index(bits, self.n_bits)
+        x = self.patterns
         if self.flags.alpha_to_subnet1:
             x = np.concatenate([x, np.full((x.shape[0], 1), sqrt_alpha)], axis=1)
         for layer in self.net1:
             x = layer.forward(x)
-        xb = self.bpn.forward(x, training)
+        xb = self.bpn.forward(x[idx], training)
         if self.flags.use_subnet2:
             a2 = np.array([[sqrt_alpha if self.flags.alpha_to_subnet2 else 1.0]])
             g = a2
@@ -134,9 +152,15 @@ class Transmitter:
             gamma = self.pnorm.forward(g)
         else:
             gamma = np.full((1, 2), math.sqrt(self.total_power / 2.0))
+        self._idx = idx
         self._xb = xb
         self._gamma = gamma
         return xb * gamma
+
+    def points(self, sqrt_alpha: float) -> np.ndarray:
+        """Inference-mode complex symbol of every bit pattern; entry i carries the bits of i."""
+        x = self.forward(self.patterns, sqrt_alpha, training=False)
+        return x[:, 0] + 1j * x[:, 1]
 
     def backward(self, grad_x: np.ndarray) -> None:
         if self.flags.use_subnet2:
@@ -145,6 +169,9 @@ class Transmitter:
             for layer in reversed(self.net2):
                 g = layer.backward(g)
         g = self.bpn.backward(grad_x * self._gamma)
+        n_patterns = len(self.patterns)
+        g = np.stack([np.bincount(self._idx, weights=col, minlength=n_patterns)
+                      for col in g.T], axis=1)
         for layer in reversed(self.net1):
             g = layer.backward(g)
 
@@ -298,10 +325,10 @@ class ZicAutoencoder:
 
     def transmit(self, bits1: np.ndarray, bits2: np.ndarray,
                  sa_tx: float) -> tuple[np.ndarray, np.ndarray]:
-        """Inference-mode encoding to complex symbols."""
-        x1 = self.tx1.forward(bits1, sa_tx, training=False)
-        x2 = self.tx2.forward(bits2, sa_tx, training=False)
-        return x1[:, 0] + 1j * x1[:, 1], x2[:, 0] + 1j * x2[:, 1]
+        """Inference-mode encoding to complex symbols: a constellation lookup."""
+        c1, c2 = encode_constellation(self, sa_tx)
+        return (c1.points[pattern_index(bits1, self.n_bits)],
+                c2.points[pattern_index(bits2, self.n_bits)])
 
     def receive(self, y1: np.ndarray, y2: np.ndarray, knows: CsiInputs,
                 noise_var: float) -> tuple[np.ndarray, np.ndarray]:
@@ -318,13 +345,10 @@ class ZicAutoencoder:
 
 def encode_constellation(model: ZicAutoencoder, sqrt_alpha: float
                          ) -> tuple[Constellation, Constellation]:
-    """Enumerate every bit pattern through the frozen transmitters."""
-    all_bits = index_to_bits(np.arange(1 << model.n_bits), model.n_bits).astype(float)
-    x1, x2 = model.transmit(all_bits, all_bits, sqrt_alpha)
-    return (
-        Constellation(x1, model.n_bits, float(np.mean(np.abs(x1) ** 2))),
-        Constellation(x2, model.n_bits, float(np.mean(np.abs(x2) ** 2))),
-    )
+    """Inference-mode symbol of every bit pattern of both frozen transmitters."""
+    p1, p2 = model.tx1.points(sqrt_alpha), model.tx2.points(sqrt_alpha)
+    return (Constellation(p1, model.n_bits, float(np.mean(np.abs(p1) ** 2))),
+            Constellation(p2, model.n_bits, float(np.mean(np.abs(p2) ** 2))))
 
 
 def train(cfg: TrainConfig) -> tuple[ZicAutoencoder, list[dict]]:

@@ -181,7 +181,7 @@ class DaeScheme:
 
     def transmit(self, bits1, bits2, ctx: ChannelContext):
         model = self.route(ctx.alpha)
-        return model.transmit(bits1.astype(float), bits2.astype(float), ctx.csi.sa_tx)
+        return model.transmit(bits1, bits2, ctx.csi.sa_tx)
 
     def detect(self, y1, y2, ctx: ChannelContext):
         model = self.route(ctx.alpha)

@@ -24,7 +24,7 @@ from pathlib import Path
 from . import bersim, modelio
 from .autoencoder import ABLATION_EXPERIMENTS, TrainConfig, encode_constellation, train
 from .bersim import BerResult, EvalConfig
-from .channel import RejectionLimitError
+from .channel import ChannelConfig, RejectionLimitError
 from .modem import constellation_rows
 
 log = logging.getLogger("zicae")
@@ -213,7 +213,8 @@ def cmd_export_constellation(args) -> int:
 
 
 ABLATION_ALPHAS = (0.5, 1.0, 1.5)
-# the evaluation keys an ablation config may set; the grid and CSI are fixed
+# the evaluation keys an ablation config may set; the grid is fixed, and the
+# channel fields (CSI model included) are the training config's
 ABLATION_EVAL_KEYS = ("n_channel_draws", "n_symbols_per_point", "min_errors", "max_bits")
 
 
@@ -229,8 +230,8 @@ def cmd_ablation(args) -> int:
     eval_cfg = config_from(
         EvalConfig, {k: raw[k] for k in ABLATION_EVAL_KEYS if k in raw},
         base=EvalConfig(snr_grid_db=(10.0,), alpha_grid=ABLATION_ALPHAS,
-                        n_channel_draws=10, max_bits=2_000_000, seed=base.seed,
-                        n_bits=base.n_bits, total_power=base.total_power))
+                        n_channel_draws=10, max_bits=2_000_000,
+                        **{f.name: getattr(base, f.name) for f in fields(ChannelConfig)}))
 
     table: dict[str, BerResult] = {}
     for name, flags in ABLATION_EXPERIMENTS.items():

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -15,7 +16,9 @@ from zicae.autoencoder import (
     receiver_scale,
     train,
 )
+from zicae.bersim import DaeScheme, ideal_context
 from zicae.channel import EquivalentChannel
+from zicae.modem import bits_to_index
 
 MINI = dict(n_channels=0, batch=64, hidden_width=8, subnet2_width=4,
             alpha_min=0.9, alpha_max=1.1)
@@ -55,6 +58,89 @@ def test_transmit_is_deterministic():
     a = model.tx1.forward(bits, 0.8, training=True)
     b = model.tx1.forward(bits, 0.8, training=True)
     assert np.array_equal(a, b)
+
+
+def _per_row_pass(tx, bits, sqrt_alpha, training, grad_x):
+    """Reference transmitter that runs net1 on every batch row.
+
+    Returns the forward output and the parameter gradients for the upstream
+    gradient ``grad_x``.
+    """
+    x = np.asarray(bits, dtype=float)
+    if tx.flags.alpha_to_subnet1:
+        x = np.concatenate([x, np.full((len(x), 1), sqrt_alpha)], axis=1)
+    for layer in tx.net1:
+        x = layer.forward(x)
+    xb = tx.bpn.forward(x, training)
+    if tx.flags.use_subnet2:
+        g = np.array([[sqrt_alpha if tx.flags.alpha_to_subnet2 else 1.0]])
+        for layer in tx.net2:
+            g = layer.forward(g)
+        gamma = tx.pnorm.forward(g)
+        g = tx.pnorm.backward(np.sum(grad_x * xb, axis=0, keepdims=True))
+        for layer in reversed(tx.net2):
+            g = layer.backward(g)
+    else:
+        gamma = np.full((1, 2), math.sqrt(tx.total_power / 2.0))
+    g = tx.bpn.backward(grad_x * gamma)
+    for layer in reversed(tx.net1):
+        g = layer.backward(g)
+    return xb * gamma, [g.copy() for g in tx.grads()]
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("n_bits", [1, 2, 3, 4])
+@pytest.mark.parametrize("flags", ABLATION_EXPERIMENTS.values(),
+                         ids=list(ABLATION_EXPERIMENTS))
+def test_per_pattern_transmitter_matches_per_row_reference(flags, n_bits, training):
+    _, model = _mini_model(n_bits=n_bits, flags=flags)
+    tx = model.tx1
+    rng = np.random.default_rng(100 + n_bits)
+    for rows in (3, 64):  # 3 rows miss some patterns from n_bits = 2 on
+        bits = rng.integers(0, 2, size=(rows, n_bits)).astype(float)
+        grad_x = rng.standard_normal((rows, 2))
+        ref = copy.deepcopy(tx)
+        x_ref, grads_ref = _per_row_pass(ref, bits, 0.8, training, grad_x)
+        x = tx.forward(bits, 0.8, training)
+        tx.backward(grad_x)
+        assert np.max(np.abs(x - x_ref)) <= 1e-12
+        assert np.max(np.abs(tx.bpn.running_ms - ref.bpn.running_ms)) <= 1e-12
+        # relative to the largest gradient entry: some entries are zero up
+        # to rounding (e.g. a lone input bit under the batch normalization)
+        scale = max(np.max(np.abs(g)) for g in grads_ref)
+        for g, g_ref in zip(tx.grads(), grads_ref):
+            assert np.max(np.abs(g - g_ref)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, -1.0])
+def test_transmitter_rejects_non_bit_inputs(bad):
+    _, model = _mini_model()
+    bits = np.zeros((5, 2))
+    bits[3, 1] = bad
+    with pytest.raises(ValueError, match="0/1"):
+        model.tx1.forward(bits, 1.0, training=True)
+    with pytest.raises(ValueError, match="0/1"):
+        model.transmit(bits, np.zeros((5, 2)), 1.0)
+
+
+def test_transmitter_rejects_wrong_bit_width():
+    _, model = _mini_model()
+    with pytest.raises(ValueError, match="rows of 2 bits"):
+        model.tx1.forward(np.zeros((5, 3)), 1.0, training=True)
+
+
+def test_dae_transmit_is_the_constellation_lookup():
+    model, _ = train(TrainConfig(**{**MINI, "n_channels": 2, "epochs_per_channel": 2},
+                                 n_bits=3))
+    scheme = DaeScheme([model])
+    rng = np.random.default_rng(7)
+    for alpha in (0.9, 1.0, 1.1):
+        bits1 = rng.integers(0, 2, size=(500, 3))
+        bits2 = rng.integers(0, 2, size=(500, 3))
+        x1, x2 = scheme.transmit(bits1, bits2, ideal_context(alpha, 10.0))
+        c1, c2 = encode_constellation(model, math.sqrt(alpha))
+        assert np.array_equal(x1, c1.points[bits_to_index(bits1)])
+        assert np.array_equal(x2, c2.points[bits_to_index(bits2)])
 
 
 def test_receiver_outputs_are_probabilities():

