@@ -22,7 +22,7 @@ both transmitters through the cross link.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -83,6 +83,11 @@ class TrainConfig(ChannelConfig):
             raise ValueError("counts must be nonnegative")
 
 
+# the TrainConfig fields a model is built from, in model-file header order
+ARCH_FIELDS = ("n_bits", "csi_mode", "alpha_min", "alpha_max", "total_power",
+               "train_snr_db", "hidden_width", "n_res_blocks", "subnet2_width", "flags")
+
+
 def receiver_scale(p_desired: float, noise_var: float) -> float:
     """Desired-signal scaling sqrt(1 + P_D/noise_var) applied after batch norm."""
     return math.sqrt(1.0 + p_desired / noise_var)
@@ -111,27 +116,26 @@ class Transmitter:
     are gathered from them, and their gradients summed back onto them.
     """
 
-    def __init__(self, n_bits: int, flags: AblationFlags, total_power: float,
-                 hidden_width: int, n_res_blocks: int, subnet2_width: int,
-                 rng: np.random.Generator):
-        self.n_bits = n_bits
-        self.flags = flags
-        self.total_power = total_power
-        n_in = n_bits + (1 if flags.alpha_to_subnet1 else 0)
-        self.net1 = [nn.Dense(n_in, hidden_width, nn.TANH, rng)]
-        for _ in range(n_res_blocks):
-            block = nn.Dense(hidden_width, hidden_width, nn.TANH, rng)
+    def __init__(self, cfg: TrainConfig, rng: np.random.Generator):
+        self.n_bits = cfg.n_bits
+        self.flags = flags = cfg.flags
+        self.total_power = cfg.total_power
+        width = cfg.hidden_width
+        n_in = cfg.n_bits + (1 if flags.alpha_to_subnet1 else 0)
+        self.net1 = [nn.Dense(n_in, width, nn.TANH, rng)]
+        for _ in range(cfg.n_res_blocks):
+            block = nn.Dense(width, width, nn.TANH, rng)
             self.net1.append(nn.Residual(block) if flags.use_shortcuts else block)
-        self.net1.append(nn.Dense(hidden_width, 2, nn.LINEAR, rng))
+        self.net1.append(nn.Dense(width, 2, nn.LINEAR, rng))
         self.bpn = nn.BatchPowerNorm(2)
         if flags.use_subnet2:
-            self.net2 = [nn.Dense(1, subnet2_width, nn.TANH, rng),
-                         nn.Dense(subnet2_width, 2, nn.LINEAR, rng)]
-            self.pnorm = nn.PowerNorm(total_power)
+            self.net2 = [nn.Dense(1, cfg.subnet2_width, nn.TANH, rng),
+                         nn.Dense(cfg.subnet2_width, 2, nn.LINEAR, rng)]
+            self.pnorm = nn.PowerNorm(cfg.total_power)
         else:
             self.net2 = []
             self.pnorm = None
-        self.patterns = index_to_bits(np.arange(1 << n_bits), n_bits).astype(float)
+        self.patterns = index_to_bits(np.arange(1 << cfg.n_bits), cfg.n_bits).astype(float)
         self._idx = None
         self._xb = None
         self._gamma = None
@@ -188,16 +192,15 @@ class Transmitter:
 class Receiver:
     """Channel output (+ CSI side inputs) -> per-bit probabilities."""
 
-    def __init__(self, n_bits: int, n_extras: int, flags: AblationFlags,
-                 hidden_width: int, n_res_blocks: int, rng: np.random.Generator):
-        self.n_bits = n_bits
+    def __init__(self, cfg: TrainConfig, n_extras: int, rng: np.random.Generator):
         self.n_extras = n_extras
         self.bpn = nn.BatchPowerNorm(2)
-        self.net = [nn.Dense(2 + n_extras, hidden_width, nn.TANH, rng)]
-        for _ in range(n_res_blocks):
-            block = nn.Dense(hidden_width, hidden_width, nn.TANH, rng)
-            self.net.append(nn.Residual(block) if flags.use_shortcuts else block)
-        self.net.append(nn.Dense(hidden_width, n_bits, nn.SIGMOID, rng))
+        width = cfg.hidden_width
+        self.net = [nn.Dense(2 + n_extras, width, nn.TANH, rng)]
+        for _ in range(cfg.n_res_blocks):
+            block = nn.Dense(width, width, nn.TANH, rng)
+            self.net.append(nn.Residual(block) if cfg.flags.use_shortcuts else block)
+        self.net.append(nn.Dense(width, cfg.n_bits, nn.SIGMOID, rng))
         self._eta = None
 
     def forward(self, y: np.ndarray, extras: list[float], eta: float,
@@ -232,39 +235,30 @@ class ZicAutoencoder:
     """The four jointly trained networks plus everything needed to reuse them."""
 
     def __init__(self, cfg: TrainConfig, rng: np.random.Generator):
-        self.n_bits = cfg.n_bits
-        self.flags = cfg.flags
-        self.csi_mode = cfg.csi_mode
-        self.alpha_min = cfg.alpha_min
-        self.alpha_max = cfg.alpha_max
-        self.total_power = cfg.total_power
-        self.train_snr_db = cfg.train_snr_db
-        self.hidden_width = cfg.hidden_width
-        self.n_res_blocks = cfg.n_res_blocks
-        self.subnet2_width = cfg.subnet2_width
-
-        shared = (cfg.n_bits, cfg.flags, cfg.total_power, cfg.hidden_width,
-                  cfg.n_res_blocks, cfg.subnet2_width)
-        self.tx1 = Transmitter(*shared, rng=rng)
-        self.tx2 = Transmitter(*shared, rng=rng)
-        rx1_extras = (1 if cfg.flags.alpha_to_rx else 0) + (1 if cfg.csi_mode == IMPERFECT else 0)
-        rx2_extras = 1 if cfg.flags.alpha_to_rx else 0
-        self.rx1 = Receiver(cfg.n_bits, rx1_extras, cfg.flags, cfg.hidden_width,
-                            cfg.n_res_blocks, rng)
-        self.rx2 = Receiver(cfg.n_bits, rx2_extras, cfg.flags, cfg.hidden_width,
-                            cfg.n_res_blocks, rng)
+        self.arch = arch = replace(TrainConfig(), **{n: getattr(cfg, n) for n in ARCH_FIELDS})
+        self.tx1 = Transmitter(arch, rng)
+        self.tx2 = Transmitter(arch, rng)
+        to_rx = 1 if arch.flags.alpha_to_rx else 0
+        self.rx1 = Receiver(arch, to_rx + (1 if arch.csi_mode == IMPERFECT else 0), rng)
+        self.rx2 = Receiver(arch, to_rx, rng)
         self._H = None
 
     # -- wiring -----------------------------------------------------------
 
-    def _rx_extras(self, knows: CsiInputs) -> tuple[list[float], list[float]]:
-        extras1 = [knows.sa_rx1] if self.flags.alpha_to_rx else []
-        if self.csi_mode == IMPERFECT:
+    def _receive(self, y1: np.ndarray, y2: np.ndarray, knows: CsiInputs, noise_var: float,
+                 training: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Both receivers' bit probabilities for real-valued channel outputs."""
+        arch = self.arch
+        extras1 = [knows.sa_rx1] if arch.flags.alpha_to_rx else []
+        if arch.csi_mode == IMPERFECT:
             if knows.theta_delta is None:
                 raise ValueError("imperfect mode needs theta_delta")
-            extras1 = extras1 + [knows.theta_delta]
-        extras2 = [knows.sa_rx2] if self.flags.alpha_to_rx else []
-        return extras1, extras2
+            extras1.append(knows.theta_delta)
+        extras2 = [knows.sa_rx2] if arch.flags.alpha_to_rx else []
+        eta1 = receiver_scale((1.0 + knows.sa_rx1**2) * arch.total_power, noise_var)
+        eta2 = receiver_scale(arch.total_power, noise_var)
+        return (self.rx1.forward(y1, extras1, eta1, training),
+                self.rx2.forward(y2, extras2, eta2, training))
 
     def forward(self, bits1: np.ndarray, bits2: np.ndarray, eq: EquivalentChannel,
                 knows: CsiInputs, noise_var: float,
@@ -283,13 +277,8 @@ class ZicAutoencoder:
         H22 = _complex_matrix(eq.hbar22)
         y1 = nn.gaussian_noise(x1 @ H11.T + x2 @ H21.T, eq.noise_var_rx1 / 2.0, rng)
         y2 = nn.gaussian_noise(x2 @ H22.T, eq.noise_var_rx2 / 2.0, rng)
-        eta1 = receiver_scale((1.0 + knows.sa_rx1**2) * self.total_power, noise_var)
-        eta2 = receiver_scale(self.total_power, noise_var)
-        extras1, extras2 = self._rx_extras(knows)
-        p1 = self.rx1.forward(y1, extras1, eta1, training)
-        p2 = self.rx2.forward(y2, extras2, eta2, training)
         self._H = (H11, H21, H22)
-        return p1, p2
+        return self._receive(y1, y2, knows, noise_var, training)
 
     def backward(self, bits1: np.ndarray, bits2: np.ndarray,
                  p1: np.ndarray, p2: np.ndarray) -> None:
@@ -310,10 +299,10 @@ class ZicAutoencoder:
 
     def arch_descriptor(self) -> str:
         """Canonical architecture string (hashed into model files)."""
-        f = self.flags
+        a, f = self.arch, self.arch.flags
         return ("zicae-v1"
-                f"|bits={self.n_bits}|mode={self.csi_mode}"
-                f"|hw={self.hidden_width}|res={self.n_res_blocks}|sw={self.subnet2_width}"
+                f"|bits={a.n_bits}|mode={a.csi_mode}"
+                f"|hw={a.hidden_width}|res={a.n_res_blocks}|sw={a.subnet2_width}"
                 f"|short={int(f.use_shortcuts)}|a1={int(f.alpha_to_subnet1)}"
                 f"|a2={int(f.alpha_to_subnet2)}|arx={int(f.alpha_to_rx)}"
                 f"|sn2={int(f.use_subnet2)}")
@@ -321,25 +310,21 @@ class ZicAutoencoder:
     # -- frozen-model use --------------------------------------------------
 
     def covers(self, alpha: float) -> bool:
-        return self.alpha_min <= alpha <= self.alpha_max
+        return self.arch.alpha_min <= alpha <= self.arch.alpha_max
 
     def transmit(self, bits1: np.ndarray, bits2: np.ndarray,
                  sa_tx: float) -> tuple[np.ndarray, np.ndarray]:
         """Inference-mode encoding to complex symbols: a constellation lookup."""
         c1, c2 = encode_constellation(self, sa_tx)
-        return (c1.points[pattern_index(bits1, self.n_bits)],
-                c2.points[pattern_index(bits2, self.n_bits)])
+        n_bits = self.arch.n_bits
+        return (c1.points[pattern_index(bits1, n_bits)], c2.points[pattern_index(bits2, n_bits)])
 
     def receive(self, y1: np.ndarray, y2: np.ndarray, knows: CsiInputs,
                 noise_var: float) -> tuple[np.ndarray, np.ndarray]:
         """Inference-mode decoding of complex channel outputs to hard bits."""
-        y1r = np.stack([y1.real, y1.imag], axis=1)
-        y2r = np.stack([y2.real, y2.imag], axis=1)
-        eta1 = receiver_scale((1.0 + knows.sa_rx1**2) * self.total_power, noise_var)
-        eta2 = receiver_scale(self.total_power, noise_var)
-        extras1, extras2 = self._rx_extras(knows)
-        p1 = self.rx1.forward(y1r, extras1, eta1, training=False)
-        p2 = self.rx2.forward(y2r, extras2, eta2, training=False)
+        p1, p2 = self._receive(np.stack([y1.real, y1.imag], axis=1),
+                               np.stack([y2.real, y2.imag], axis=1), knows, noise_var,
+                               training=False)
         return (p1 > 0.5).astype(int), (p2 > 0.5).astype(int)
 
 
@@ -347,8 +332,9 @@ def encode_constellation(model: ZicAutoencoder, sqrt_alpha: float
                          ) -> tuple[Constellation, Constellation]:
     """Inference-mode symbol of every bit pattern of both frozen transmitters."""
     p1, p2 = model.tx1.points(sqrt_alpha), model.tx2.points(sqrt_alpha)
-    return (Constellation(p1, model.n_bits, float(np.mean(np.abs(p1) ** 2))),
-            Constellation(p2, model.n_bits, float(np.mean(np.abs(p2) ** 2))))
+    n_bits = model.arch.n_bits
+    return (Constellation(p1, n_bits, float(np.mean(np.abs(p1) ** 2))),
+            Constellation(p2, n_bits, float(np.mean(np.abs(p2) ** 2))))
 
 
 def train(cfg: TrainConfig) -> tuple[ZicAutoencoder, list[dict]]:

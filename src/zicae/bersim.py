@@ -145,15 +145,14 @@ class Baseline2(Baseline1):
 
     name = "baseline2"
 
-    def __init__(self, n_bits: int, total_power: float = 1.0, grid_steps: int = 90):
+    def __init__(self, n_bits: int, total_power: float = 1.0):
         super().__init__(n_bits, total_power)
-        self.grid_steps = grid_steps
         self._rotations: dict[float, float] = {}
 
     def rotation_for(self, sa_tx: float) -> float:
         theta = self._rotations.get(sa_tx)
         if theta is None:
-            theta = modem.best_rotation(self.c1, self.c2, sa_tx, self.grid_steps)
+            theta = modem.best_rotation(self.c1, self.c2, sa_tx)
             self._rotations[sa_tx] = theta
         return theta
 
@@ -170,13 +169,14 @@ class DaeScheme:
         if not models:
             raise ValueError("need at least one model")
         self.models = models
-        self.n_bits = models[0].n_bits
+        self.n_bits = models[0].arch.n_bits
 
     def route(self, alpha: float) -> ZicAutoencoder:
         for m in self.models:
             if m.covers(alpha):
                 return m
-        intervals = ", ".join(f"[{m.alpha_min:g}, {m.alpha_max:g}]" for m in self.models)
+        intervals = ", ".join(f"[{m.arch.alpha_min:g}, {m.arch.alpha_max:g}]"
+                              for m in self.models)
         raise LookupError(f"no trained model covers alpha={alpha:g} (have {intervals})")
 
     def transmit(self, bits1, bits2, ctx: ChannelContext):

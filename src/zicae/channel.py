@@ -22,7 +22,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -41,18 +40,6 @@ class DegenerateChannelError(ValueError):
 
 class RejectionLimitError(ValueError):
     """Raised when the keep rule rejects every estimate of one channel draw."""
-
-
-@dataclass(frozen=True)
-class ChannelDistribution:
-    """Complex Gaussian law of the direct links (mean mu_h, variance sigma_h2)."""
-
-    mu_h: complex = 1.0
-    sigma_h2: float = 0.1
-
-    def __post_init__(self):
-        if self.sigma_h2 < 0:
-            raise ValueError(f"sigma_h2 must be >= 0, got {self.sigma_h2}")
 
 
 @dataclass(frozen=True)
@@ -79,20 +66,6 @@ class EquivalentChannel:
     sqrt_alpha: float
     noise_var_rx1: float
     noise_var_rx2: float
-
-
-@dataclass(frozen=True)
-class EstimationConfig:
-    """Estimation-error variance and the keep/reject threshold for channels."""
-
-    sigma_E2: float
-    threshold_T: float = 1.0
-
-    def __post_init__(self):
-        if self.sigma_E2 < 0:
-            raise ValueError(f"sigma_E2 must be >= 0, got {self.sigma_E2}")
-        if self.threshold_T <= 0:
-            raise ValueError(f"threshold_T must be > 0, got {self.threshold_T}")
 
 
 _BOOL = {"1": True, "0": False, "true": True, "false": False, "yes": True, "no": False}
@@ -179,14 +152,6 @@ class ChannelConfig:
     def noise_var(self, snr_db: float) -> float:
         """Nominal noise power sigma_N^2 at ``snr_db`` for the total power budget."""
         return self.total_power / 10.0 ** (snr_db / 10.0)
-
-    @cached_property
-    def distribution(self) -> ChannelDistribution:
-        return ChannelDistribution(self.mu_h, self.sigma_h2)
-
-    @cached_property
-    def estimation(self) -> EstimationConfig:
-        return EstimationConfig(self.sigma_e2, self.threshold_t)
 
     def config_items(self, names=None) -> list[tuple[str, str]]:
         """Config-file ``(key, text)`` pairs of the named fields (default: all), in order."""
@@ -280,14 +245,14 @@ def complex_gaussian(rng: np.random.Generator, mean: complex = 0.0,
     return complex(mean) + scale * (z[:, 0] + 1j * z[:, 1])
 
 
-def draw_channel(dist: ChannelDistribution, rng: np.random.Generator) -> ChannelRealization:
-    """Draw the direct gains h11, h22 from ``dist``; h21 is left at zero.
+def draw_channel(cfg: ChannelConfig, rng: np.random.Generator) -> ChannelRealization:
+    """Draw the direct gains h11, h22 from CN(mu_h, sigma_h2); h21 is left at zero.
 
     The cross link is interference-intensity driven and is set separately,
     see :func:`draw_interference` / :func:`draw_zic_channel`.
     """
-    h11 = complex_gaussian(rng, dist.mu_h, dist.sigma_h2)
-    h22 = complex_gaussian(rng, dist.mu_h, dist.sigma_h2)
+    h11 = complex_gaussian(rng, cfg.mu_h, cfg.sigma_h2)
+    h22 = complex_gaussian(rng, cfg.mu_h, cfg.sigma_h2)
     return ChannelRealization(h11=h11, h21=0j, h22=h22)
 
 
@@ -299,10 +264,10 @@ def draw_interference(alpha: float, rng: np.random.Generator) -> complex:
     return math.sqrt(alpha) * cmath.exp(1j * theta)
 
 
-def draw_zic_channel(dist: ChannelDistribution, alpha: float,
+def draw_zic_channel(cfg: ChannelConfig, alpha: float,
                      rng: np.random.Generator) -> ChannelRealization:
     """Full ZIC realization: random direct gains plus the alpha-driven cross link."""
-    ch = draw_channel(dist, rng)
+    ch = draw_channel(cfg, rng)
     return replace(ch, h21=draw_interference(alpha, rng))
 
 
@@ -346,23 +311,23 @@ def estimate_with_errors(ch: ChannelRealization, eps11: complex, eps21: complex,
                             alpha_hat, theta_hat)
 
 
-def estimate(ch: ChannelRealization, cfg: EstimationConfig,
+def estimate(ch: ChannelRealization, cfg: ChannelConfig,
              rng: np.random.Generator) -> EstimatedChannel:
-    """Receiver-side channel estimate with CN(0, sigma_E2) additive errors."""
-    eps11 = complex_gaussian(rng, 0.0, cfg.sigma_E2)
-    eps21 = complex_gaussian(rng, 0.0, cfg.sigma_E2)
-    eps22 = complex_gaussian(rng, 0.0, cfg.sigma_E2)
+    """Receiver-side channel estimate with CN(0, sigma_e2) additive errors."""
+    eps11 = complex_gaussian(rng, 0.0, cfg.sigma_e2)
+    eps21 = complex_gaussian(rng, 0.0, cfg.sigma_e2)
+    eps22 = complex_gaussian(rng, 0.0, cfg.sigma_e2)
     return estimate_with_errors(ch, eps11, eps21, eps22)
 
 
-def accept_channel(est: EstimatedChannel, cfg: EstimationConfig) -> bool:
-    """Keep the channel only if no error-to-estimate ratio reaches the threshold."""
+def accept_channel(est: EstimatedChannel, cfg: ChannelConfig) -> bool:
+    """Keep the channel only if no error-to-estimate ratio reaches threshold_t."""
     ratios = (
         abs(est.eps11 / est.hhat11),
         abs(est.eps22 / est.hhat22),
         abs(est.eps21 / est.hhat11),
     )
-    return max(ratios) < cfg.threshold_T
+    return max(ratios) < cfg.threshold_t
 
 
 def quantize(q: Quantizer, value: float) -> float:
@@ -413,15 +378,14 @@ def normalize_imperfect(est: EstimatedChannel, fb: FeedbackMessage,
     )
 
 
-def draw_accepted_estimate(dist: ChannelDistribution, alpha: float,
-                           cfg: EstimationConfig, rng: np.random.Generator
+def draw_accepted_estimate(cfg: ChannelConfig, alpha: float, rng: np.random.Generator
                            ) -> tuple[ChannelRealization, EstimatedChannel]:
     """Rejection-sample (channel, estimate) pairs until the keep rule passes.
 
     Raises :class:`RejectionLimitError` after ``MAX_ESTIMATE_ATTEMPTS`` tries.
     """
     for _ in range(MAX_ESTIMATE_ATTEMPTS):
-        ch = draw_zic_channel(dist, alpha, rng)
+        ch = draw_zic_channel(cfg, alpha, rng)
         est = estimate(ch, cfg, rng)
         if abs(est.hhat11) == 0.0 or abs(est.hhat22) == 0.0:
             continue
@@ -429,30 +393,23 @@ def draw_accepted_estimate(dist: ChannelDistribution, alpha: float,
             return ch, est
     raise RejectionLimitError(
         f"no channel estimate passed the keep rule in {MAX_ESTIMATE_ATTEMPTS} attempts "
-        f"(observed acceptance 0/{MAX_ESTIMATE_ATTEMPTS}) at sigma_e2={cfg.sigma_E2!r}, "
-        f"threshold_t={cfg.threshold_T!r}, alpha={alpha:g}; "
+        f"(observed acceptance 0/{MAX_ESTIMATE_ATTEMPTS}) at sigma_e2={cfg.sigma_e2!r}, "
+        f"threshold_t={cfg.threshold_t!r}, alpha={alpha:g}; "
         "raise threshold_t or lower sigma_e2")
 
 
-def apply_channel(eq: EquivalentChannel, x1, x2, rng: np.random.Generator | None,
-                  noise: tuple | None = None):
+def apply_channel(eq: EquivalentChannel, x1, x2, rng: np.random.Generator | None):
     """Push symbols through the equivalent channel.
 
     y1 = hbar11*x1 + hbar21*x2 + n1 and y2 = hbar22*x2 + n2 with ni complex
     Gaussian of variance noise_var_rxi (half per real component).  ``x1``/``x2``
-    may be scalars or arrays.  Passing ``noise=(n1, n2)`` injects explicit
-    noise samples instead of drawing; ``rng=None`` with no ``noise`` disables
-    noise entirely.
+    may be scalars or arrays.  ``rng=None`` disables noise.
     """
     x1 = np.asarray(x1, dtype=complex)
     x2 = np.asarray(x2, dtype=complex)
     y1 = eq.hbar11 * x1 + eq.hbar21 * x2
     y2 = eq.hbar22 * x2
-    if noise is not None:
-        n1, n2 = noise
-        y1 = y1 + n1
-        y2 = y2 + n2
-    elif rng is not None:
+    if rng is not None:
         y1 = y1 + _complex_noise(rng, eq.noise_var_rx1, x1.shape)
         y2 = y2 + _complex_noise(rng, eq.noise_var_rx2, x2.shape)
     return y1, y2
@@ -503,12 +460,12 @@ def channel_context(cfg: ChannelConfig, alpha: float, snr_db: float,
     """
     nv = cfg.noise_var(snr_db)
     if cfg.csi_mode == PERFECT:
-        ch = draw_channel(cfg.distribution, rng)
+        ch = draw_channel(cfg, rng)
         sa = math.sqrt(alpha)
         eq = EquivalentChannel(1.0 + 0j, complex(sa), 1.0 + 0j, sa,
                                nv / abs(ch.h11) ** 2, nv / abs(ch.h22) ** 2)
         return ChannelContext(eq, nv, alpha, CsiInputs(sa, sa, sa))
-    ch, est = draw_accepted_estimate(cfg.distribution, alpha, cfg.estimation, rng)
+    ch, est = draw_accepted_estimate(cfg, alpha, rng)
     if simulated_residual:
         theta_delta = rng.uniform(-math.pi / 2**cfg.n_q, math.pi / 2**cfg.n_q)
         fb = FeedbackMessage(alpha_q=quantize(alpha_quantizer(cfg.n_q), est.alpha_hat),

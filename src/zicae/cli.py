@@ -34,8 +34,16 @@ class ConfigError(ValueError):
     pass
 
 
+# every key a training or evaluation config defines; one file may serve both
+CONFIG_KEYS = frozenset(key for cls in (TrainConfig, EvalConfig)
+                        for key, _ in cls().config_items())
+
+
 def parse_config_file(path) -> dict[str, str]:
-    """Flat key=value lines; '#' comments; later keys override earlier ones."""
+    """Flat key=value lines; '#' comments; later keys override earlier ones.
+
+    A key that is no config's key is an error.
+    """
     out: dict[str, str] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -45,7 +53,10 @@ def parse_config_file(path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -118,7 +129,7 @@ def cmd_train(args) -> int:
     digest = hashlib.sha256(config_text.encode()).hexdigest()
     run_id = _run_id("train", config_text)
     write_manifest(Path(f"{out}.manifest.json"), "train", run_id,
-                   digest, cfg.seed, inputs={args.config: _file_digest(args.config)},
+                   digest, cfg.seed, inputs={args.config: modelio.file_sha256(args.config)},
                    outputs={out: modelio.file_sha256(out),
                             log_path: modelio.file_sha256(log_path)},
                    started=started)
@@ -126,8 +137,16 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _check_eval_args(args) -> None:
+    """Refuse eval options that would otherwise be accepted and ignored."""
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    if args.scheme != "dae":
+        for flag, value in (("--model", args.model), ("--model-dir", args.model_dir)):
+            if value:
+                raise ConfigError(f"{flag} is only read by --scheme dae, not {args.scheme}")
+    elif args.model and args.model_dir:
+        raise ConfigError("--model and --model-dir exclude each other")
 
 
 def _load_models(args) -> tuple[list, list[Path]]:
@@ -149,8 +168,8 @@ def _build_scheme(args, cfg: EvalConfig):
         return bersim.Baseline2(cfg.n_bits, cfg.total_power), []
     models, paths = _load_models(args)
     for model, path in zip(models, paths):
-        if model.csi_mode != cfg.csi_mode:
-            raise ConfigError(f"{path}: model was trained for {model.csi_mode} CSI "
+        if model.arch.csi_mode != cfg.csi_mode:
+            raise ConfigError(f"{path}: model was trained for {model.arch.csi_mode} CSI "
                               f"but the evaluation requests {cfg.csi_mode}")
     scheme = bersim.DaeScheme(models)
     for alpha in cfg.alpha_grid:
@@ -160,6 +179,7 @@ def _build_scheme(args, cfg: EvalConfig):
 
 def cmd_eval(args) -> int:
     started = _now()
+    _check_eval_args(args)
     raw = parse_config_file(args.config)
     cfg = config_from(EvalConfig, raw, args.seed)
     scheme, model_paths = _build_scheme(args, cfg)
@@ -184,10 +204,10 @@ def cmd_eval(args) -> int:
                      *sorted(model_hashes.values()))
     _write_text(args.out, bersim.result_to_csv(result, run_id))
     digest = hashlib.sha256(eval_config_text(cfg).encode()).hexdigest()
-    inputs = {args.config: _file_digest(args.config), **model_hashes}
+    inputs = {args.config: modelio.file_sha256(args.config), **model_hashes}
     write_manifest(Path(f"{args.out}.manifest.json"),
                    "eval", run_id, digest, cfg.seed, inputs,
-                   {args.out: _file_digest(args.out)}, started)
+                   {args.out: modelio.file_sha256(args.out)}, started)
     return 0
 
 
@@ -196,7 +216,7 @@ def cmd_export_constellation(args) -> int:
     model = modelio.load_model(args.model)
     if not model.covers(args.alpha):
         print(f"error: alpha={args.alpha:g} outside the trained interval "
-              f"[{model.alpha_min:g}, {model.alpha_max:g}]", file=sys.stderr)
+              f"[{model.arch.alpha_min:g}, {model.arch.alpha_max:g}]", file=sys.stderr)
         return 1
     c1, c2 = encode_constellation(model, math.sqrt(args.alpha))
     lines = ["user,bits,re,im"]
@@ -208,7 +228,7 @@ def cmd_export_constellation(args) -> int:
     write_manifest(Path(f"{args.out}.manifest.json"),
                    "export-constellation", run_id, "-", 0,
                    {args.model: modelio.file_sha256(args.model)},
-                   {args.out: _file_digest(args.out)}, started)
+                   {args.out: modelio.file_sha256(args.out)}, started)
     return 0
 
 
@@ -250,8 +270,8 @@ def cmd_ablation(args) -> int:
     write_manifest(Path(f"{args.out}.manifest.json"),
                    "ablation", run_id,
                    hashlib.sha256(modelio.config_text(base).encode()).hexdigest(),
-                   base.seed, {args.config: _file_digest(args.config)},
-                   {args.out: _file_digest(args.out)}, started)
+                   base.seed, {args.config: modelio.file_sha256(args.config)},
+                   {args.out: modelio.file_sha256(args.out)}, started)
     return 0
 
 

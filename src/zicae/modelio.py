@@ -18,13 +18,9 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .autoencoder import Receiver, TrainConfig, Transmitter, ZicAutoencoder
+from .autoencoder import ARCH_FIELDS, Receiver, TrainConfig, Transmitter, ZicAutoencoder
 
 MAGIC = "ZICAE-MODEL v1"
-
-# the TrainConfig fields a model is rebuilt from, in header order
-ARCH_FIELDS = ("n_bits", "csi_mode", "alpha_min", "alpha_max", "total_power",
-               "train_snr_db", "hidden_width", "n_res_blocks", "subnet2_width", "flags")
 
 
 def _dense_layers(stack) -> list:
@@ -75,8 +71,7 @@ def save_model(path, model: ZicAutoencoder, cfg: TrainConfig | None = None) -> N
     header = [MAGIC,
               f"arch_sha256={_sha256(model.arch_descriptor().encode())}",
               f"config_sha256={_sha256(config_text(cfg).encode()) if cfg else '-'}"]
-    arch = TrainConfig(**{name: getattr(model, name) for name in ARCH_FIELDS})
-    header += [f"{key}={text}" for key, text in arch.config_items(ARCH_FIELDS)]
+    header += [f"{key}={text}" for key, text in model.arch.config_items(ARCH_FIELDS)]
     header.append(f"arrays={len(arrays)}")
     for name, arr in arrays:
         shape = "x".join(str(d) for d in np.atleast_1d(arr).shape)

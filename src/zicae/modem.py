@@ -130,10 +130,10 @@ def detect_rx1(y, c1: Constellation, c2: Constellation, hbar21: complex) -> np.n
     return index_to_bits(idx1, c1.n_bits)
 
 
-def detect_rx2(y, c2: Constellation, gain: complex = 1.0) -> np.ndarray:
-    """Nearest-neighbor detection; hypotheses are gain*point."""
+def detect_rx2(y, c2: Constellation) -> np.ndarray:
+    """Nearest-neighbor detection against the points of ``c2``."""
     y = np.atleast_1d(np.asarray(y, dtype=complex))
-    d = np.abs(y[:, None] - gain * c2.points[None, :])
+    d = np.abs(y[:, None] - c2.points[None, :])
     idx = np.argmin(d, axis=1)
     return index_to_bits(idx, c2.n_bits)
 

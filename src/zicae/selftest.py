@@ -15,7 +15,7 @@ import numpy as np
 from . import nn
 from .autoencoder import TrainConfig, ZicAutoencoder, train
 from .channel import (
-    ChannelDistribution,
+    ChannelConfig,
     Quantizer,
     draw_zic_channel,
     normalize_perfect,
@@ -61,9 +61,9 @@ def _check_gradients() -> None:
 
 def _check_model_equivalence() -> None:
     rng = np.random.default_rng(11)
-    dist = ChannelDistribution(1.0, 0.5)
+    cfg = ChannelConfig(mu_h=1.0, sigma_h2=0.5)
     for _ in range(1000):
-        ch = draw_zic_channel(dist, rng.uniform(0.0, 3.0), rng)
+        ch = draw_zic_channel(cfg, rng.uniform(0.0, 3.0), rng)
         if abs(ch.h11) < 1e-6 or abs(ch.h22) < 1e-6:
             continue
         x1 = complex(rng.normal(), rng.normal())

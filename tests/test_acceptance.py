@@ -29,8 +29,7 @@ from zicae.bersim import (
     run_point,
 )
 from zicae.channel import (
-    ChannelDistribution,
-    EstimationConfig,
+    ChannelConfig,
     accept_channel,
     alpha_quantizer,
     draw_zic_channel,
@@ -196,7 +195,7 @@ def test_c06_dae_beats_baseline1_desk_scale(desk_model):
 
 def test_c07_model_equivalence():
     rng = np.random.default_rng(6)
-    dist = ChannelDistribution(1.0, 0.3)
+    dist = ChannelConfig(mu_h=1.0, sigma_h2=0.3)
     checked = 0
     worst = 0.0
     while checked < 10_000:
@@ -225,8 +224,8 @@ def test_c07_model_equivalence():
 
 def test_c08_imperfect_csi_limits():
     rng = np.random.default_rng(7)
-    dist = ChannelDistribution(1.0, 0.1)
-    no_err = EstimationConfig(0.0)
+    dist = ChannelConfig(mu_h=1.0, sigma_h2=0.1)
+    no_err = ChannelConfig(sigma_e2=0.0)
     q_alpha, q_theta = alpha_quantizer(30), theta_quantizer(30)
     worst = 0.0
     for _ in range(500):
@@ -245,7 +244,7 @@ def test_c08_imperfect_csi_limits():
 
     def acceptance_rate(seed):
         r = np.random.default_rng(seed)
-        cfg = EstimationConfig(0.1, 1.0)
+        cfg = ChannelConfig(sigma_e2=0.1, threshold_t=1.0)
         kept = 0
         n = 100_000
         for _ in range(n):

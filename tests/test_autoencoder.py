@@ -284,8 +284,8 @@ def test_encode_constellation_power_audit(desk_model):
     # inference-mode power uses frozen running statistics; only a properly
     # trained model has settled ones
     c1, c2 = encode_constellation(desk_model, 1.0)
-    assert c1.avg_power == pytest.approx(desk_model.total_power, rel=0.05)
-    assert c2.avg_power == pytest.approx(desk_model.total_power, rel=0.05)
+    assert c1.avg_power == pytest.approx(desk_model.arch.total_power, rel=0.05)
+    assert c2.avg_power == pytest.approx(desk_model.arch.total_power, rel=0.05)
 
 
 def test_noiseless_self_decoding_after_convergence(desk_model):

@@ -9,10 +9,8 @@ from zicae.autoencoder import AblationFlags, TrainConfig
 from zicae.bersim import EvalConfig
 from zicae.channel import (
     ChannelConfig,
-    ChannelDistribution,
     ChannelRealization,
     DegenerateChannelError,
-    EstimationConfig,
     EstimatedChannel,
     FeedbackMessage,
     Quantizer,
@@ -37,7 +35,7 @@ from zicae.channel import (
 
 
 def test_draw_channel_zero_variance_is_exact():
-    ch = draw_channel(ChannelDistribution(1.0, 0.0), np.random.default_rng(0))
+    ch = draw_channel(ChannelConfig(mu_h=1.0, sigma_h2=0.0), np.random.default_rng(0))
     assert ch.h11 == 1.0 + 0j
     assert ch.h22 == 1.0 + 0j
     assert ch.h21 == 0j
@@ -105,8 +103,8 @@ def test_normalize_perfect_rejects_zero_gain():
 
 
 def test_estimate_zero_error_is_exact():
-    ch = draw_zic_channel(ChannelDistribution(1.0, 0.1), 1.3, np.random.default_rng(5))
-    est = estimate(ch, EstimationConfig(0.0), np.random.default_rng(6))
+    ch = draw_zic_channel(ChannelConfig(mu_h=1.0, sigma_h2=0.1), 1.3, np.random.default_rng(5))
+    est = estimate(ch, ChannelConfig(sigma_e2=0.0), np.random.default_rng(6))
     assert est.hhat11 == ch.h11 and est.hhat21 == ch.h21 and est.hhat22 == ch.h22
     true_alpha = (abs(ch.h21) / abs(ch.h11)) ** 2
     assert est.alpha_hat == pytest.approx(true_alpha, rel=1e-12)
@@ -118,7 +116,7 @@ def test_estimate_error_subtraction():
     assert est.hhat11 == 0.9 + 0j
     # identity holds for drawn errors too
     rng = np.random.default_rng(7)
-    est2 = estimate(ch, EstimationConfig(0.2), rng)
+    est2 = estimate(ch, ChannelConfig(sigma_e2=0.2), rng)
     assert est2.hhat11 + est2.eps11 == ch.h11
     assert est2.hhat21 + est2.eps21 == ch.h21
     assert est2.hhat22 + est2.eps22 == ch.h22
@@ -127,13 +125,13 @@ def test_estimate_error_subtraction():
 def test_estimate_error_variance():
     rng = np.random.default_rng(8)
     ch = ChannelRealization(1.0 + 0j, 1.0 + 0j, 1.0 + 0j)
-    eps = np.array([estimate(ch, EstimationConfig(0.1), rng).eps11
+    eps = np.array([estimate(ch, ChannelConfig(sigma_e2=0.1), rng).eps11
                     for _ in range(100_000)])
     assert abs(np.mean(np.abs(eps) ** 2) - 0.1) < 0.002
 
 
 def test_accept_channel_trivials():
-    cfg = EstimationConfig(0.0, 1.0)
+    cfg = ChannelConfig(sigma_e2=0.0, threshold_t=1.0)
     est = estimate_with_errors(ChannelRealization(1 + 0j, 1 + 0j, 1 + 0j), 0j, 0j, 0j)
     assert accept_channel(est, cfg)
     bad = estimate_with_errors(ChannelRealization(1 + 0j, 1 + 0j, 1 + 0j),
@@ -145,20 +143,20 @@ def test_accept_channel_trivials():
 
 def test_accept_channel_matches_recomputed_rule():
     rng = np.random.default_rng(9)
-    dist = ChannelDistribution(1.0, 0.1)
-    cfg = EstimationConfig(0.3, 1.0)
+    dist = ChannelConfig(mu_h=1.0, sigma_h2=0.1)
+    cfg = ChannelConfig(sigma_e2=0.3, threshold_t=1.0)
     for _ in range(100_000 // 20):  # 5k estimates, each checked both ways
         ch = draw_zic_channel(dist, rng.uniform(0, 3), rng)
         est = estimate(ch, cfg, rng)
         expected = max(abs(est.eps11 / est.hhat11), abs(est.eps22 / est.hhat22),
-                       abs(est.eps21 / est.hhat11)) < cfg.threshold_T
+                       abs(est.eps21 / est.hhat11)) < cfg.threshold_t
         assert accept_channel(est, cfg) == expected
 
 
 def test_accept_always_true_without_error():
     rng = np.random.default_rng(10)
-    dist = ChannelDistribution(1.0, 0.1)
-    cfg = EstimationConfig(0.0)
+    dist = ChannelConfig(mu_h=1.0, sigma_h2=0.1)
+    cfg = ChannelConfig(sigma_e2=0.0)
     for _ in range(200):
         est = estimate(draw_zic_channel(dist, 1.0, rng), cfg, rng)
         assert accept_channel(est, cfg)
@@ -194,8 +192,8 @@ def test_quantize_idempotent_and_clamps():
 
 
 def test_feedback_fine_quantizer_limit():
-    ch = draw_zic_channel(ChannelDistribution(1.0, 0.1), 1.2, np.random.default_rng(13))
-    est = estimate(ch, EstimationConfig(0.05), np.random.default_rng(14))
+    ch = draw_zic_channel(ChannelConfig(mu_h=1.0, sigma_h2=0.1), 1.2, np.random.default_rng(13))
+    est = estimate(ch, ChannelConfig(sigma_e2=0.05), np.random.default_rng(14))
     fb = make_feedback(est, alpha_quantizer(28), theta_quantizer(28))
     assert abs(fb.theta_delta) < 1e-7
     assert abs(fb.alpha_q - est.alpha_hat) < 1e-6
@@ -212,8 +210,8 @@ def test_feedback_midpoint_gives_zero_residual():
 
 def test_feedback_residual_bound():
     rng = np.random.default_rng(15)
-    dist = ChannelDistribution(1.0, 0.1)
-    cfg = EstimationConfig(0.1)
+    dist = ChannelConfig(mu_h=1.0, sigma_h2=0.1)
+    cfg = ChannelConfig(sigma_e2=0.1)
     for _ in range(500):
         est = estimate(draw_zic_channel(dist, rng.uniform(0, 3), rng), cfg, rng)
         fb = make_feedback(est, alpha_quantizer(3), theta_quantizer(3))
@@ -221,8 +219,8 @@ def test_feedback_residual_bound():
 
 
 def test_normalize_imperfect_reduces_to_perfect():
-    ch = draw_zic_channel(ChannelDistribution(1.0, 0.1), 0.8, np.random.default_rng(16))
-    est = estimate(ch, EstimationConfig(0.0), np.random.default_rng(17))
+    ch = draw_zic_channel(ChannelConfig(mu_h=1.0, sigma_h2=0.1), 0.8, np.random.default_rng(16))
+    est = estimate(ch, ChannelConfig(sigma_e2=0.0), np.random.default_rng(17))
     fb = FeedbackMessage(alpha_q=est.alpha_hat, theta_q=est.theta_hat, theta_delta=0.0)
     eq_imp = normalize_imperfect(est, fb, ch, 0.1)
     eq_per = normalize_perfect(ch, 0.1)
@@ -242,10 +240,9 @@ def test_normalize_imperfect_residual_phase():
 
 def test_normalize_imperfect_matches_reevaluation():
     rng = np.random.default_rng(18)
-    dist = ChannelDistribution(1.0, 0.1)
-    cfg = EstimationConfig(0.1)
+    cfg = ChannelConfig(mu_h=1.0, sigma_h2=0.1, sigma_e2=0.1)
     for _ in range(300):
-        ch, est = draw_accepted_estimate(dist, rng.uniform(0, 3), cfg, rng)
+        ch, est = draw_accepted_estimate(cfg, rng.uniform(0, 3), rng)
         fb = make_feedback(est, alpha_quantizer(3), theta_quantizer(3))
         eq = normalize_imperfect(est, fb, ch, 0.1)
         assert abs(eq.hbar11 - (1 + est.eps11 / est.hhat11)) < 1e-12
@@ -254,8 +251,8 @@ def test_normalize_imperfect_matches_reevaluation():
             + est.eps21 / est.hhat11
         assert abs(eq.hbar21 - expected21) < 1e-12
         # accepted channels keep the direct gains near one
-        assert abs(eq.hbar11 - 1.0) < cfg.threshold_T
-        assert abs(eq.hbar22 - 1.0) < cfg.threshold_T
+        assert abs(eq.hbar11 - 1.0) < cfg.threshold_t
+        assert abs(eq.hbar22 - 1.0) < cfg.threshold_t
 
 
 def test_apply_channel_noiseless():
@@ -277,9 +274,9 @@ def test_apply_channel_noise_variance():
 
 def test_rejection_loop_stops_at_the_attempt_cap(monkeypatch):
     monkeypatch.setattr(channel, "MAX_ESTIMATE_ATTEMPTS", 500)
-    dist = ChannelDistribution(1.0, 0.1)
+    cfg = ChannelConfig(mu_h=1.0, sigma_h2=0.1, sigma_e2=2.0, threshold_t=0.05)
     with pytest.raises(RejectionLimitError, match=r"500 attempts.*sigma_e2=2.0.*threshold_t=0.05"):
-        draw_accepted_estimate(dist, 1.0, EstimationConfig(2.0, 0.05), np.random.default_rng(20))
+        draw_accepted_estimate(cfg, 1.0, np.random.default_rng(20))
 
 
 @pytest.mark.parametrize("cls", [TrainConfig, EvalConfig])

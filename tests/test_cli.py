@@ -40,13 +40,26 @@ def test_bad_config_value_exits_2(tmp_path, capsys):
     assert "alpha_min" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("train", []),
+    ("eval", ["--scheme", "baseline1"]),
+    ("ablation", []),
+], ids=["train", "eval", "ablation"])
+def test_unknown_config_key_exits_2(tmp_path, capsys, command, extra):
+    cfg = _write(tmp_path, "typo.cfg", "seed = 1\nn_chanel_draws = 5\n")
+    rc = main([command, "--config", str(cfg), *extra, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "typo.cfg:2" in err and "'n_chanel_draws'" in err
+
+
 def test_train_zero_channels_writes_valid_model(tmp_path):
     cfg = _write(tmp_path, "t.cfg", TINY_TRAIN.replace("n_channels = 2", "n_channels = 0"))
     out = tmp_path / "m.zicmodel"
     rc = main(["train", "--config", str(cfg), "--out", str(out)])
     assert rc == 0
     model = load_model(out)
-    assert model.n_bits == 2
+    assert model.arch.n_bits == 2
     manifest = json.loads((tmp_path / "m.zicmodel.manifest.json").read_text())
     assert manifest["command"] == "train"
     assert str(out) in manifest["outputs"]
@@ -101,6 +114,25 @@ def test_eval_threads_match_sequential(tmp_path):
     assert main(["eval", "--config", str(cfg), "--scheme", "baseline1",
                  "--out", str(par), "--threads", "3"]) == 0
     assert seq.read_bytes() == par.read_bytes()
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--scheme", "baseline1", "--model", "absent.zicmodel"], "--model"),
+    (["--scheme", "baseline2", "--model", "absent.zicmodel"], "--model"),
+    (["--scheme", "baseline1", "--model-dir", "absent"], "--model-dir"),
+    (["--scheme", "baseline2", "--model-dir", "absent"], "--model-dir"),
+    (["--scheme", "dae", "--model", "absent.zicmodel", "--model-dir", "absent"], "--model-dir"),
+    (["--scheme", "baseline1", "--threads", "0"], "--threads"),
+    (["--scheme", "baseline1", "--threads", "-3"], "--threads"),
+], ids=["b1-model", "b2-model", "b1-model-dir", "b2-model-dir", "model-and-dir",
+        "threads-0", "threads-neg"])
+def test_eval_refuses_ignored_flags(tmp_path, capsys, flags, named):
+    cfg = _write(tmp_path, "e.cfg", EVAL_CFG)
+    out = tmp_path / "r.csv"
+    rc = main(["eval", "--config", str(cfg), *flags, "--out", str(out)])
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_dae_uncovered_alpha_names_interval(tmp_path, capsys):

@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from zicae.autoencoder import AblationFlags, CsiInputs, TrainConfig, ZicAutoencoder
+from zicae.autoencoder import ABLATION_EXPERIMENTS, CsiInputs, TrainConfig, ZicAutoencoder
 from zicae.channel import EquivalentChannel
 from zicae.modelio import config_text, file_sha256, load_model, model_arrays, save_model
 
@@ -25,11 +25,7 @@ def test_roundtrip_preserves_everything(tmp_path):
     for (name_a, a), (name_b, b) in zip(model_arrays(model), model_arrays(loaded)):
         assert name_a == name_b
         assert np.array_equal(a, b), name_a
-    assert loaded.n_bits == model.n_bits
-    assert loaded.csi_mode == model.csi_mode
-    assert loaded.alpha_min == model.alpha_min
-    assert loaded.alpha_max == model.alpha_max
-    assert loaded.flags == model.flags
+    assert loaded.arch == model.arch
     assert loaded.arch_descriptor() == model.arch_descriptor()
 
 
@@ -58,16 +54,20 @@ def test_save_is_byte_deterministic(tmp_path):
 
 
 def test_flag_variants_roundtrip(tmp_path):
-    cfg = TrainConfig(n_channels=0, batch=32, hidden_width=8, subnet2_width=4,
-                      alpha_min=0.4, alpha_max=1.6,
-                      flags=AblationFlags(use_shortcuts=False, use_subnet2=False,
-                                          alpha_to_subnet2=False))
-    model = ZicAutoencoder(cfg, np.random.default_rng(5))
-    path = tmp_path / "lean.zicmodel"
-    save_model(path, model, cfg)
-    loaded = load_model(path)
-    assert loaded.flags == cfg.flags
-    assert len(loaded.params()) == len(model.params())
+    # every architecture field differs from its default somewhere here
+    for name, flags in ABLATION_EXPERIMENTS.items():
+        for csi_mode in ("perfect", "imperfect"):
+            cfg = TrainConfig(n_channels=0, batch=32, n_bits=3, hidden_width=8,
+                              n_res_blocks=1, subnet2_width=4, alpha_min=0.4, alpha_max=1.6,
+                              total_power=2.5, train_snr_db=7.5, csi_mode=csi_mode,
+                              sigma_e2=0.05, flags=flags)
+            model = ZicAutoencoder(cfg, np.random.default_rng(5))
+            path = tmp_path / f"{name}-{csi_mode}.zicmodel"
+            save_model(path, model, cfg)
+            loaded = load_model(path)
+            assert loaded.arch == model.arch, (name, csi_mode)
+            assert loaded.arch.flags == flags
+            assert len(loaded.params()) == len(model.params())
 
 
 def test_config_text_round_trips_floats():
@@ -92,10 +92,7 @@ def _saved(tmp_path, seed=6):
 
 
 def _same_model(a, b) -> bool:
-    meta = ("arch_descriptor", "alpha_min", "alpha_max", "total_power", "train_snr_db")
-    values = [getattr(m, k)() if k == "arch_descriptor" else getattr(m, k)
-              for m in (a, b) for k in meta]
-    return (values[:len(meta)] == values[len(meta):]
+    return (a.arch == b.arch
             and all(na == nb and np.array_equal(x, y)
                     for (na, x), (nb, y) in zip(model_arrays(a), model_arrays(b))))
 
