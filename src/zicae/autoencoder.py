@@ -88,9 +88,9 @@ ARCH_FIELDS = ("n_bits", "csi_mode", "alpha_min", "alpha_max", "total_power",
                "train_snr_db", "hidden_width", "n_res_blocks", "subnet2_width", "flags")
 
 
-def receiver_scale(p_desired: float, noise_var: float) -> float:
+def receiver_scale(p_desired, noise_var: float):
     """Desired-signal scaling sqrt(1 + P_D/noise_var) applied after batch norm."""
-    return math.sqrt(1.0 + p_desired / noise_var)
+    return np.sqrt(1.0 + p_desired / noise_var)
 
 
 def _complex_matrix(h: complex) -> np.ndarray:
@@ -189,8 +189,16 @@ class Transmitter:
         return [g for layer in self.layers() for g in layer.grads()]
 
 
+def _column(value, n_rows: int) -> np.ndarray:
+    """A scalar, or one value per row, as an (n_rows, 1) column."""
+    return np.full((n_rows, 1), value) if np.ndim(value) == 0 else np.reshape(value, (n_rows, 1))
+
+
 class Receiver:
-    """Channel output (+ CSI side inputs) -> per-bit probabilities."""
+    """Channel output (+ CSI side inputs) -> per-bit probabilities.
+
+    Each side input and the scale ``eta`` are a scalar or one value per row.
+    """
 
     def __init__(self, cfg: TrainConfig, n_extras: int, rng: np.random.Generator):
         self.n_extras = n_extras
@@ -203,14 +211,13 @@ class Receiver:
         self.net.append(nn.Dense(width, cfg.n_bits, nn.SIGMOID, rng))
         self._eta = None
 
-    def forward(self, y: np.ndarray, extras: list[float], eta: float,
-                training: bool) -> np.ndarray:
+    def forward(self, y: np.ndarray, extras: list, eta, training: bool) -> np.ndarray:
         if len(extras) != self.n_extras:
             raise ValueError(f"expected {self.n_extras} side inputs, got {len(extras)}")
+        eta = _column(eta, len(y))
         yd = self.bpn.forward(y, training) * eta
         if extras:
-            cols = [yd] + [np.full((y.shape[0], 1), v) for v in extras]
-            x = np.concatenate(cols, axis=1)
+            x = np.concatenate([yd] + [_column(v, len(y)) for v in extras], axis=1)
         else:
             x = yd
         for layer in self.net:
@@ -247,7 +254,10 @@ class ZicAutoencoder:
 
     def _receive(self, y1: np.ndarray, y2: np.ndarray, knows: CsiInputs, noise_var: float,
                  training: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Both receivers' bit probabilities for real-valued channel outputs."""
+        """Both receivers' bit probabilities for real-valued channel outputs.
+
+        Every field of ``knows`` is a scalar or one value per row.
+        """
         arch = self.arch
         extras1 = [knows.sa_rx1] if arch.flags.alpha_to_rx else []
         if arch.csi_mode == IMPERFECT:
@@ -312,20 +322,37 @@ class ZicAutoencoder:
     def covers(self, alpha: float) -> bool:
         return self.arch.alpha_min <= alpha <= self.arch.alpha_max
 
-    def transmit(self, bits1: np.ndarray, bits2: np.ndarray,
-                 sa_tx: float) -> tuple[np.ndarray, np.ndarray]:
-        """Inference-mode encoding to complex symbols: a constellation lookup."""
-        c1, c2 = encode_constellation(self, sa_tx)
+    def transmit(self, bits1: np.ndarray, bits2: np.ndarray, sa_tx,
+                 constellations=None) -> tuple[np.ndarray, np.ndarray]:
+        """Inference-mode encoding of bit rows to complex symbols: a constellation lookup.
+
+        ``constellations`` is ``encode_constellation(self, sa_tx)`` when the
+        caller has built it already; its points may then hold one alphabet
+        per row, shape (rows, M).
+        """
+        c1, c2 = constellations or encode_constellation(self, sa_tx)
         n_bits = self.arch.n_bits
-        return (c1.points[pattern_index(bits1, n_bits)], c2.points[pattern_index(bits2, n_bits)])
+        return (_lookup(c1, pattern_index(bits1, n_bits)),
+                _lookup(c2, pattern_index(bits2, n_bits)))
 
     def receive(self, y1: np.ndarray, y2: np.ndarray, knows: CsiInputs,
                 noise_var: float) -> tuple[np.ndarray, np.ndarray]:
-        """Inference-mode decoding of complex channel outputs to hard bits."""
+        """Inference-mode decoding of complex channel outputs to hard bits.
+
+        ``y1``/``y2`` are 1-D; the fields of ``knows`` are scalars or, when
+        the rows come from several channel draws, one value per row.
+        """
         p1, p2 = self._receive(np.stack([y1.real, y1.imag], axis=1),
                                np.stack([y2.real, y2.imag], axis=1), knows, noise_var,
                                training=False)
         return (p1 > 0.5).astype(int), (p2 > 0.5).astype(int)
+
+
+def _lookup(c: Constellation, index: np.ndarray) -> np.ndarray:
+    """The point of each label, from the row's own alphabet if there is one per row."""
+    if c.points.ndim == 1:
+        return c.points[index]
+    return c.points[np.arange(len(index)), index]
 
 
 def encode_constellation(model: ZicAutoencoder, sqrt_alpha: float

@@ -15,11 +15,14 @@ own their streams, so everything here is safe to use from parallel workers.
 
 :class:`ChannelConfig` holds the settings that training and evaluation share,
 and :func:`channel_context` draws one channel under them for either.
+Evaluation joins the contexts of many draws with :func:`stack_contexts`
+into one context holding an array entry per draw.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 
@@ -221,11 +224,13 @@ class FeedbackMessage:
     theta_delta: float
 
 
+@functools.cache
 def alpha_quantizer(n_bits: int) -> Quantizer:
     """Quantizer for the interference intensity, range [0, 3]."""
     return Quantizer(n_bits, 0.0, 3.0)
 
 
+@functools.cache
 def theta_quantizer(n_bits: int) -> Quantizer:
     """Quantizer for the feedback angle, range [-pi, pi]."""
     return Quantizer(n_bits, -math.pi, math.pi)
@@ -237,12 +242,19 @@ def complex_gaussian(rng: np.random.Generator, mean: complex = 0.0,
 
     Returns a python complex for ``size=None``, else a complex ndarray.
     """
-    scale = math.sqrt(var / 2.0) if var > 0 else 0.0
     if size is None:
-        re, im = rng.standard_normal(2)
-        return complex(mean) + scale * complex(re, im)
+        return _complex_gaussians(rng, mean, var, 1)[0]
+    scale = math.sqrt(var / 2.0) if var > 0 else 0.0
     z = rng.standard_normal((size, 2))
     return complex(mean) + scale * (z[:, 0] + 1j * z[:, 1])
+
+
+def _complex_gaussians(rng: np.random.Generator, mean: complex, var: float,
+                       n: int) -> list[complex]:
+    """``n`` python complex CN(mean, var) draws, the stream of ``n`` scalar draws."""
+    scale = math.sqrt(var / 2.0) if var > 0 else 0.0
+    z = rng.standard_normal(2 * n).tolist()
+    return [mean + scale * complex(z[i], z[i + 1]) for i in range(0, 2 * n, 2)]
 
 
 def draw_channel(cfg: ChannelConfig, rng: np.random.Generator) -> ChannelRealization:
@@ -251,8 +263,7 @@ def draw_channel(cfg: ChannelConfig, rng: np.random.Generator) -> ChannelRealiza
     The cross link is interference-intensity driven and is set separately,
     see :func:`draw_interference` / :func:`draw_zic_channel`.
     """
-    h11 = complex_gaussian(rng, cfg.mu_h, cfg.sigma_h2)
-    h22 = complex_gaussian(rng, cfg.mu_h, cfg.sigma_h2)
+    h11, h22 = _complex_gaussians(rng, cfg.mu_h, cfg.sigma_h2, 2)
     return ChannelRealization(h11=h11, h21=0j, h22=h22)
 
 
@@ -260,7 +271,7 @@ def draw_interference(alpha: float, rng: np.random.Generator) -> complex:
     """Cross gain sqrt(alpha)*e^{j*theta} with theta uniform on [0, 2*pi)."""
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    theta = rng.uniform(0.0, 2.0 * math.pi)
+    theta = 2.0 * math.pi * rng.random()  # the value rng.uniform(0, 2*pi) draws
     return math.sqrt(alpha) * cmath.exp(1j * theta)
 
 
@@ -268,7 +279,7 @@ def draw_zic_channel(cfg: ChannelConfig, alpha: float,
                      rng: np.random.Generator) -> ChannelRealization:
     """Full ZIC realization: random direct gains plus the alpha-driven cross link."""
     ch = draw_channel(cfg, rng)
-    return replace(ch, h21=draw_interference(alpha, rng))
+    return ChannelRealization(ch.h11, draw_interference(alpha, rng), ch.h22)
 
 
 def normalize_perfect(ch: ChannelRealization, noise_var: float) -> EquivalentChannel:
@@ -314,9 +325,7 @@ def estimate_with_errors(ch: ChannelRealization, eps11: complex, eps21: complex,
 def estimate(ch: ChannelRealization, cfg: ChannelConfig,
              rng: np.random.Generator) -> EstimatedChannel:
     """Receiver-side channel estimate with CN(0, sigma_e2) additive errors."""
-    eps11 = complex_gaussian(rng, 0.0, cfg.sigma_e2)
-    eps21 = complex_gaussian(rng, 0.0, cfg.sigma_e2)
-    eps22 = complex_gaussian(rng, 0.0, cfg.sigma_e2)
+    eps11, eps21, eps22 = _complex_gaussians(rng, 0.0, cfg.sigma_e2, 3)
     return estimate_with_errors(ch, eps11, eps21, eps22)
 
 
@@ -403,7 +412,8 @@ def apply_channel(eq: EquivalentChannel, x1, x2, rng: np.random.Generator | None
 
     y1 = hbar11*x1 + hbar21*x2 + n1 and y2 = hbar22*x2 + n2 with ni complex
     Gaussian of variance noise_var_rxi (half per real component).  ``x1``/``x2``
-    may be scalars or arrays.  ``rng=None`` disables noise.
+    may be scalars or arrays; the fields of ``eq`` may be arrays that
+    broadcast against them (one value per draw).  ``rng=None`` disables noise.
     """
     x1 = np.asarray(x1, dtype=complex)
     x2 = np.asarray(x2, dtype=complex)
@@ -415,10 +425,10 @@ def apply_channel(eq: EquivalentChannel, x1, x2, rng: np.random.Generator | None
     return y1, y2
 
 
-def _complex_noise(rng: np.random.Generator, var: float, shape):
-    scale = math.sqrt(var / 2.0) if var > 0 else 0.0
-    z = rng.standard_normal((*shape, 2)) if shape else rng.standard_normal(2)
-    return scale * (z[..., 0] + 1j * z[..., 1])
+def _complex_noise(rng: np.random.Generator, var, shape):
+    scale = np.sqrt(np.maximum(var, 0.0) / 2.0)
+    z = rng.standard_normal((*shape, 2)).view(complex)[..., 0]  # z[..., 0] + 1j*z[..., 1]
+    return scale * z
 
 
 @dataclass(frozen=True)
@@ -436,14 +446,58 @@ class CsiInputs:
     theta_delta: float | None = None
 
 
+def _take(obj, rows):
+    """Copy of a frozen dataclass with every array field indexed by ``rows``."""
+    return replace(obj, **{f.name: v[rows] for f in fields(obj)
+                           if np.ndim(v := getattr(obj, f.name))})
+
+
 @dataclass(frozen=True)
 class ChannelContext:
-    """Everything one channel draw fixes: equivalent gains and node knowledge."""
+    """Everything one channel draw fixes: equivalent gains and node knowledge.
+
+    A context of K draws (:func:`stack_contexts`) holds ``(K,)`` arrays in
+    the fields of ``eq`` and ``csi`` that vary between draws.
+    """
 
     eq: EquivalentChannel
     noise_var: float          # nominal sigma_N^2 at this SNR
     alpha: float              # true interference intensity of the draw
     csi: CsiInputs
+
+    @property
+    def shape(self) -> tuple:
+        """Shape of the draw axes: () for one channel, (K,) for K draws."""
+        return np.broadcast_shapes(*(np.shape(getattr(self.eq, f.name))
+                                     for f in fields(self.eq)))
+
+    def block(self, draws: slice) -> ChannelContext:
+        """The draws ``draws`` of a K-draw context, every array field as a column.
+
+        The ``(B, 1)`` fields broadcast against ``(B, n)`` arrays holding n
+        symbols of each of the B draws.
+        """
+        return replace(self, eq=_take(self.eq, (draws, None)), csi=_take(self.csi, (draws, None)))
+
+
+def stack_contexts(contexts: list[ChannelContext]) -> ChannelContext:
+    """K single-channel contexts of one grid point as one K-draw context.
+
+    The draws share ``noise_var`` and ``alpha``.  Every field of ``eq``
+    becomes a ``(K,)`` array, and so does every field of ``csi`` that
+    differs between the draws; a common one stays a scalar.
+    """
+    first = contexts[0]
+    if any(c.noise_var != first.noise_var or c.alpha != first.alpha for c in contexts):
+        raise ValueError("stacked contexts must share noise_var and alpha")
+    eq = EquivalentChannel(*(np.array([getattr(c.eq, f.name) for c in contexts])
+                             for f in fields(EquivalentChannel)))
+    csi = {}
+    for f in fields(CsiInputs):
+        values = [getattr(c.csi, f.name) for c in contexts]
+        if any(v != values[0] for v in values):
+            csi[f.name] = np.array(values)
+    return replace(first, eq=eq, csi=replace(first.csi, **csi))
 
 
 def channel_context(cfg: ChannelConfig, alpha: float, snr_db: float,

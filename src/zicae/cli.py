@@ -10,7 +10,6 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime
 import hashlib
 import json
@@ -139,8 +138,6 @@ def cmd_train(args) -> int:
 
 def _check_eval_args(args) -> None:
     """Refuse eval options that would otherwise be accepted and ignored."""
-    if args.threads < 1:
-        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
     if args.scheme != "dae":
         for flag, value in (("--model", args.model), ("--model-dir", args.model_dir)):
             if value:
@@ -184,20 +181,9 @@ def cmd_eval(args) -> int:
     cfg = config_from(EvalConfig, raw, args.seed)
     scheme, model_paths = _build_scheme(args, cfg)
 
-    points = [(snr, alpha) for snr in cfg.snr_grid_db for alpha in cfg.alpha_grid]
-    log.info("evaluating %s on %d grid points, %d channel draws each",
-             args.scheme, len(points), cfg.n_channel_draws)
-
-    def one(i_point):
-        snr, alpha = points[i_point]
-        return bersim.evaluate_point(cfg, scheme, alpha, snr, i_point)
-
-    if args.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.threads) as pool:
-            evaluated = list(pool.map(one, range(len(points))))
-    else:
-        evaluated = [one(i) for i in range(len(points))]
-    result = BerResult(points=evaluated)
+    log.info("evaluating %s on %d grid points, %d channel draws each", args.scheme,
+             len(cfg.snr_grid_db) * len(cfg.alpha_grid), cfg.n_channel_draws)
+    result = bersim.sweep(cfg, scheme)
 
     model_hashes = {p: modelio.file_sha256(p) for p in model_paths}
     run_id = _run_id("eval", args.scheme, eval_config_text(cfg),
@@ -302,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", action="append", help="model file (repeatable)")
     p.add_argument("--model-dir", help="directory of *.zicmodel files")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 

@@ -5,6 +5,11 @@ binary number (bits[0] is the MSB); Gray labeling is baked into the point
 order.  Detection at the interfered receiver is joint maximum likelihood over
 both users' symbols, reporting only the desired user's bits.  All detectors
 break exact ties toward the lowest hypothesis index.
+
+A constellation may hold one alphabet per channel draw: points of shape
+``(..., M)`` whose leading axes broadcast against the received samples, for
+example ``(B, 1, M)`` against ``(B, n)`` samples of B draws.  Modulation and
+detection then use each draw's own alphabet.
 """
 
 from __future__ import annotations
@@ -17,19 +22,19 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Constellation:
-    """Ordered complex alphabet; points[i] carries the bits of integer i."""
+    """Ordered complex alphabet; points[..., i] carries the bits of integer i."""
 
     points: np.ndarray
     n_bits: int
     avg_power: float
 
     def __post_init__(self):
-        if len(self.points) != 1 << self.n_bits:
+        if self.points.shape[-1] != 1 << self.n_bits:
             raise ValueError("constellation size must be 2**n_bits")
 
     @property
     def size(self) -> int:
-        return len(self.points)
+        return self.points.shape[-1]
 
 
 def index_to_bits(index, n_bits: int) -> np.ndarray:
@@ -83,9 +88,13 @@ def rotate(c: Constellation, theta: float) -> Constellation:
                          n_bits=c.n_bits, avg_power=c.avg_power)
 
 
-def composite_points(c1: Constellation, c2: Constellation, cross: complex) -> np.ndarray:
-    """All p1 + cross*p2 sums, flattened with index i1*len(c2) + i2."""
-    return (c1.points[:, None] + cross * c2.points[None, :]).ravel()
+def composite_points(c1: Constellation, c2: Constellation, cross) -> np.ndarray:
+    """All p1 + cross*p2 sums, the last axis flattened with index i1*c2.size + i2.
+
+    ``cross`` may be one gain per draw; the leading axes broadcast.
+    """
+    comp = c1.points[..., :, None] + np.asarray(cross)[..., None, None] * c2.points[..., None, :]
+    return comp.reshape(comp.shape[:-2] + (-1,))
 
 
 def composite_min_distance(c1: Constellation, c2: Constellation, cross: complex) -> float:
@@ -116,31 +125,50 @@ def best_rotation(c1: Constellation, c2: Constellation, sqrt_alpha: float,
     return best_theta
 
 
-def detect_rx1(y, c1: Constellation, c2: Constellation, hbar21: complex) -> np.ndarray:
+def _nearest(y, points: np.ndarray) -> np.ndarray:
+    """Index of the point nearest to each sample, the lowest index on exact ties.
+
+    A running minimum over the points: memory stays at the size of ``y``.
+    """
+    y = np.atleast_1d(np.asarray(y, dtype=complex))
+    diff = y - points[..., 0]
+    best = np.abs(diff)
+    idx = np.zeros(best.shape, dtype=np.intp)
+    dist = np.empty_like(best)
+    closer = np.empty(best.shape, dtype=bool)
+    for k in range(1, points.shape[-1]):
+        np.subtract(y, points[..., k], out=diff)
+        np.abs(diff, out=dist)
+        np.less(dist, best, out=closer)
+        np.minimum(best, dist, out=best)
+        np.copyto(idx, k, where=closer)
+    return idx
+
+
+def detect_rx1(y, c1: Constellation, c2: Constellation, hbar21) -> np.ndarray:
     """Joint ML detection at the interfered receiver.
 
     Minimizes |y - p1 - hbar21*p2|^2 over all symbol pairs and returns the
     bits of the winning p1 (the interference hypothesis is discarded).
-    ``y`` may be a scalar or an array; output rows are the detected bits.
+    ``y`` may be a scalar or an array; ``hbar21`` and the constellations may
+    hold one value per draw, broadcasting against ``y``.  The last output
+    axis holds the detected bits.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=complex))
-    comp = composite_points(c1, c2, hbar21)
-    d = np.abs(y[:, None] - comp[None, :])
-    idx1 = np.argmin(d, axis=1) // c2.size
+    idx1 = _nearest(y, composite_points(c1, c2, hbar21)) // c2.size
     return index_to_bits(idx1, c1.n_bits)
 
 
 def detect_rx2(y, c2: Constellation) -> np.ndarray:
     """Nearest-neighbor detection against the points of ``c2``."""
-    y = np.atleast_1d(np.asarray(y, dtype=complex))
-    d = np.abs(y[:, None] - c2.points[None, :])
-    idx = np.argmin(d, axis=1)
-    return index_to_bits(idx, c2.n_bits)
+    return index_to_bits(_nearest(y, c2.points), c2.n_bits)
 
 
 def modulate(c: Constellation, bits) -> np.ndarray:
-    """Bit rows -> symbols of the constellation."""
-    return c.points[bits_to_index(bits)]
+    """Bit rows -> symbols of the constellation (of each draw's alphabet, if per draw)."""
+    idx = bits_to_index(bits)
+    if c.points.ndim == 1:
+        return c.points[idx]
+    return np.take_along_axis(c.points, idx[..., None], axis=-1)[..., 0]
 
 
 def constellation_rows(c: Constellation) -> list[tuple[str, float, float]]:

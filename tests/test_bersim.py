@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from zicae.autoencoder import TrainConfig, ZicAutoencoder
+from zicae import autoencoder, bersim
+from zicae.autoencoder import TrainConfig, ZicAutoencoder, train
 from zicae.bersim import (
     Baseline1,
     Baseline2,
@@ -12,13 +13,22 @@ from zicae.bersim import (
     DaeScheme,
     EvalConfig,
     compare_reduction,
+    draw_context,
     evaluate_point,
     ideal_context,
     result_to_csv,
     run_point,
     sweep,
 )
-from zicae.channel import ChannelConfig, ChannelContext, CsiInputs, EquivalentChannel
+from zicae.channel import (
+    ChannelConfig,
+    ChannelContext,
+    CsiInputs,
+    EquivalentChannel,
+    channel_context,
+    stack_contexts,
+)
+from zicae.modem import Constellation, detect_rx1, detect_rx2
 
 
 def qfunc(x):
@@ -158,8 +168,7 @@ def test_imperfect_mode_dae_sweep_runs():
                             hidden_width=8, subnet2_width=4, alpha_min=0.5,
                             alpha_max=1.5, csi_mode="imperfect", sigma_e2=0.05,
                             n_q=3, seed=14)
-    from zicae.autoencoder import train as train_model
-    model, _ = train_model(train_cfg)
+    model, _ = train(train_cfg)
     cfg = EvalConfig(snr_grid_db=(10.0,), alpha_grid=(1.0,), n_channel_draws=3,
                      n_symbols_per_point=1_000, seed=15, csi_mode="imperfect",
                      sigma_e2=0.05, n_q=3)
@@ -192,3 +201,174 @@ def test_sweep_reproduces_awgn_oracle_at_zero_alpha():
     se = math.sqrt(expected * (1 - expected) / point.n_bits_simulated)
     assert point.n_bit_errors >= 100
     assert abs(point.ber_worst - expected) < 3 * se
+
+
+# (scheme, alpha, SNR, symbols, seed) of the C3, C4 and C5 run_point calls in
+# test_acceptance.py, with the error counts of the per-draw engine they replaced
+PINNED_SINGLE_CHANNEL = [
+    (Baseline1, 0.0, 10.0, 400_000, 3, (652, 630, 800_000)),
+    (Baseline1, 1.0, 40.0, 200_000, 4, (100_183, 0, 400_000)),
+    (Baseline1, 1.0, 10.0, 200_000, 5, (99_799, 283, 400_000)),
+    (Baseline2, 1.0, 10.0, 200_000, 5, (22_697, 285, 400_000)),
+]
+
+
+@pytest.mark.parametrize("cls,alpha,snr_db,n_symbols,seed,counts", PINNED_SINGLE_CHANNEL,
+                         ids=["c3", "c4", "c5-baseline1", "c5-baseline2"])
+def test_single_channel_run_point_keeps_its_stream(cls, alpha, snr_db, n_symbols, seed, counts):
+    ctx = ideal_context(alpha, snr_db)
+    assert run_point(cls(2), ctx, n_symbols, np.random.default_rng(seed)) == counts
+
+
+def _draws_context(noise_var, cross, theta_delta=None):
+    """A hand-built context of len(cross) draws with (K,) array fields."""
+    k = len(cross)
+    sa = np.abs(cross)
+    eq = EquivalentChannel(np.ones(k, complex), np.asarray(cross, complex), np.ones(k, complex),
+                           sa, np.asarray(noise_var, float), np.asarray(noise_var, float))
+    return ChannelContext(eq, 0.1, 1.0, CsiInputs(sa, sa, sa, theta_delta))
+
+
+def _recording(cls):
+    """A ``cls`` scheme that keeps every detect call's inputs and outputs."""
+    class Recording(cls):
+        def detect(self, y1, y2, ctx, cons):
+            out = super().detect(y1, y2, ctx, cons)
+            self.calls.append((y1, y2, ctx, cons, out))
+            return out
+
+    scheme = Recording(2)
+    scheme.calls = []
+    return scheme
+
+
+@pytest.mark.parametrize("cls", [Baseline1, Baseline2])
+@pytest.mark.parametrize("n_symbols", [300, 5000, 20000],
+                         ids=["blocks-of-draws", "draw-longer-than-a-block", "chunked-draw"])
+def test_block_detection_equals_per_draw_detection(cls, n_symbols):
+    # draws 0 and 4 are noiseless, so their samples are exact composite
+    # points; with Baseline1, draw 0 (alpha 1, no residual angle) has
+    # coinciding composite points, so exact ties occur
+    cross = [1.0, 0.6 * np.exp(0.3j), 1.3 * np.exp(-0.2j), 0.2, 0.9]
+    theta_delta = np.array([0.0, 0.1, -0.2, 0.05, 0.0])
+    ctx = _draws_context([0.0, 0.05, 0.2, 0.01, 0.0], cross, theta_delta)
+    scheme = _recording(cls)
+    e1, e2, bits = run_point(scheme, ctx, 5 * n_symbols, np.random.default_rng(8))
+    assert bits == 5 * n_symbols * 2
+    rows = 0
+    for y1, y2, block, (c1, c2), (hat1, hat2) in scheme.calls:
+        assert y1.size <= max(bersim._BLOCK_ROWS, min(n_symbols, bersim._CHUNK))
+        for d in range(block.shape[0]):
+            one1, one2 = (Constellation(c.points[d, 0] if c.points.ndim > 1 else c.points, 2, 1.0)
+                          for c in (c1, c2))
+            cross_d = block.csi.sa_rx1[d, 0] * np.exp(1j * block.csi.theta_delta[d, 0])
+            assert np.array_equal(hat1[d], detect_rx1(y1[d], one1, one2, cross_d))
+            assert np.array_equal(hat2[d], detect_rx2(y2[d], one2))
+            rows += y1.shape[-1]
+    assert rows == 5 * n_symbols
+
+
+def test_evaluate_point_draws_one_stream_per_round():
+    # adaptive sizing with an unreachable error floor: two rounds, stopped by max_bits
+    chunk = 50_000 // (7 * 2)
+    cfg = EvalConfig(n_channel_draws=7, min_errors=10**9, max_bits=2 * 7 * chunk * 2,
+                     seed=17, csi_mode="imperfect", sigma_e2=0.05)
+    point = evaluate_point(cfg, Baseline2(2), 0.6, 8.0, 3)
+    e1 = e2 = 0
+    for rnd in range(2):
+        rng = np.random.default_rng([17, 3, rnd])
+        ctx = stack_contexts([draw_context(cfg, 0.6, 8.0, rng) for _ in range(7)])
+        a, b, _ = run_point(Baseline2(2), ctx, 7 * chunk, rng)
+        e1, e2 = e1 + a, e2 + b
+    assert point.n_bits_simulated == 2 * 7 * chunk * 2
+    assert (point.ber_user1, point.ber_user2) == (e1 / point.n_bits_simulated,
+                                                  e2 / point.n_bits_simulated)
+
+
+def test_run_point_splits_symbols_evenly_over_draws():
+    ctx = _draws_context([0.1, 0.1, 0.1], [0.5, 0.6, 0.7])
+    with pytest.raises(ValueError, match="split evenly"):
+        run_point(Baseline1(2), ctx, 100, np.random.default_rng(0))
+    assert run_point(Baseline1(2), ctx, 99, np.random.default_rng(0))[2] == 99 * 2
+
+
+def _dae_draws(mode):
+    """A small trained model and a 6-draw context under ``mode``'s CSI."""
+    model, _ = train(TrainConfig(n_channels=3, epochs_per_channel=2, batch=64, hidden_width=8,
+                                 subnet2_width=4, alpha_min=0.5, alpha_max=1.5, csi_mode=mode,
+                                 sigma_e2=0.05, seed=4))
+    cfg = ChannelConfig(csi_mode=mode, sigma_e2=0.05, n_q=2)
+    rng = np.random.default_rng(5)
+    return model, stack_contexts([channel_context(cfg, 1.0, 10.0, rng) for _ in range(6)])
+
+
+def _draw_csi(ctx, d):
+    """The node knowledge of draw ``d`` of a K-draw context."""
+    return CsiInputs(*(None if v is None else float(np.broadcast_to(v, ctx.shape)[d])
+                       for v in (ctx.csi.sa_tx, ctx.csi.sa_rx1, ctx.csi.sa_rx2,
+                                 ctx.csi.theta_delta)))
+
+
+@pytest.mark.parametrize("mode", ["perfect", "imperfect"])
+def test_block_dae_transmit_equals_per_draw_transmit(mode):
+    model, ctx = _dae_draws(mode)
+    if mode == "imperfect":
+        assert len(np.unique(ctx.csi.sa_tx)) > 1  # one alphabet per draw
+    block = ctx.block(slice(0, 6))
+    rng = np.random.default_rng(7)
+    bits1, bits2 = rng.integers(0, 2, size=(2, 6, 50, 2))
+    scheme = DaeScheme([model])
+    x1, x2 = scheme.transmit(bits1, bits2, block, scheme.constellations(block))
+    assert np.array_equal((x1, x2), scheme.transmit(bits1, bits2, block))
+    for d in range(6):
+        ref1, ref2 = model.transmit(bits1[d], bits2[d], _draw_csi(ctx, d).sa_tx)
+        assert np.array_equal(x1[d], ref1) and np.array_equal(x2[d], ref2)
+
+
+@pytest.mark.parametrize("mode", ["perfect", "imperfect"])
+def test_block_dae_decode_equals_per_draw_receive(mode):
+    model, ctx = _dae_draws(mode)
+    block = ctx.block(slice(0, 6))
+    rng = np.random.default_rng(6)
+    n = 300  # 1800 rows: receiver slices of 512 rows cross draw boundaries
+    y1 = rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))
+    y2 = rng.normal(size=(6, n)) + 1j * rng.normal(size=(6, n))
+    scheme = DaeScheme([model])
+    hat1, hat2 = scheme.detect(y1, y2, block, scheme.constellations(block))
+    assert hat1.shape == hat2.shape == (6, n, 2)
+    for d in range(6):
+        ref1, ref2 = model.receive(y1[d], y2[d], _draw_csi(ctx, d), ctx.noise_var)
+        assert np.array_equal(hat1[d], ref1) and np.array_equal(hat2[d], ref2)
+
+
+def test_dae_builds_constellations_once_per_point_round(monkeypatch):
+    calls = []
+    original = bersim.encode_constellation
+
+    def counting(model, sqrt_alpha):
+        calls.append((id(model), sqrt_alpha))
+        return original(model, sqrt_alpha)
+
+    for module in (bersim, autoencoder):  # the scheme's binding and the model's
+        monkeypatch.setattr(module, "encode_constellation", counting)
+    arch = dict(n_channels=0, batch=32, hidden_width=8, subnet2_width=4)
+    models = [ZicAutoencoder(TrainConfig(**arch, alpha_min=0.0, alpha_max=0.8),
+                             np.random.default_rng(1)),
+              ZicAutoencoder(TrainConfig(**arch, alpha_min=0.8, alpha_max=2.0),
+                             np.random.default_rng(2))]
+    cfg = EvalConfig(snr_grid_db=(5.0, 10.0), alpha_grid=(0.25, 1.0, 1.5),
+                     n_channel_draws=30, n_symbols_per_point=400, seed=3)
+    sweep(cfg, DaeScheme(models))
+    expected = [(id(models[0 if a < 0.8 else 1]), math.sqrt(a))
+                for _ in cfg.snr_grid_db for a in cfg.alpha_grid]
+    assert calls == expected
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n_symbols_per_point", -5), ("alpha_grid", (0.5, -1.0)), ("alpha_grid", (math.inf,)),
+    ("alpha_grid", (math.nan,)), ("snr_grid_db", (10.0, math.nan)),
+    ("snr_grid_db", (-math.inf,)),
+])
+def test_eval_config_rejects_bad_grid_and_counts(key, value):
+    with pytest.raises(ValueError, match=key):
+        EvalConfig(**{key: value})

@@ -30,6 +30,7 @@ from zicae.channel import (
     normalize_imperfect,
     normalize_perfect,
     quantize,
+    stack_contexts,
     theta_quantizer,
 )
 
@@ -270,6 +271,48 @@ def test_apply_channel_noise_variance():
     x = np.zeros(1_000_000, dtype=complex)
     _, y2 = apply_channel(eq, x, x, rng)
     assert abs(np.mean(np.abs(y2) ** 2) - 0.1) < 0.001
+
+
+def test_scalar_draws_follow_the_per_value_stream():
+    # training streams depend on these values: h11, h22 are one CN draw each
+    # from standard_normal(2), theta one rng.uniform(0, 2*pi), eps one CN each
+    cfg = ChannelConfig(mu_h=0.9 + 0.2j, sigma_h2=0.2, sigma_e2=0.05)
+    rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+
+    def cn(mean, var):
+        re, im = ref.standard_normal(2)
+        return complex(mean) + math.sqrt(var / 2.0) * complex(re, im)
+
+    for _ in range(20):
+        ch = draw_zic_channel(cfg, 1.7, rng)
+        est = estimate(ch, cfg, rng)
+        assert ch.h11 == cn(cfg.mu_h, cfg.sigma_h2) and ch.h22 == cn(cfg.mu_h, cfg.sigma_h2)
+        assert ch.h21 == math.sqrt(1.7) * cmath.exp(1j * ref.uniform(0.0, 2.0 * math.pi))
+        assert (est.eps11, est.eps21, est.eps22) == tuple(cn(0.0, cfg.sigma_e2) for _ in range(3))
+
+
+@pytest.mark.parametrize("mode", ["perfect", "imperfect"])
+def test_stack_contexts_holds_each_draw(mode):
+    cfg = ChannelConfig(csi_mode=mode, sigma_e2=0.05, n_q=2)
+    rng = np.random.default_rng(4)
+    draws = [channel_context(cfg, 0.8, 10.0, rng) for _ in range(7)]
+    ctx = stack_contexts(draws)
+    assert ctx.shape == (7,) and (ctx.alpha, ctx.noise_var) == (0.8, draws[0].noise_var)
+    for name in ("hbar11", "hbar21", "hbar22", "sqrt_alpha", "noise_var_rx1", "noise_var_rx2"):
+        assert getattr(ctx.eq, name).tolist() == [getattr(d.eq, name) for d in draws]
+    for name in ("sa_tx", "sa_rx1", "sa_rx2", "theta_delta"):
+        values = [getattr(d.csi, name) for d in draws]
+        stacked = getattr(ctx.csi, name)
+        # a value common to every draw stays a scalar
+        assert stacked == values[0] if np.ndim(stacked) == 0 else stacked.tolist() == values
+    if mode == "perfect":
+        assert ctx.csi == draws[0].csi
+    block = ctx.block(slice(2, 5))
+    assert block.shape == (3, 1)
+    assert np.array_equal(block.eq.noise_var_rx1[:, 0], ctx.eq.noise_var_rx1[2:5])
+    assert block.noise_var == ctx.noise_var and block.alpha == ctx.alpha
+    with pytest.raises(ValueError, match="share"):
+        stack_contexts([draws[0], channel_context(cfg, 0.9, 10.0, rng)])
 
 
 def test_rejection_loop_stops_at_the_attempt_cap(monkeypatch):

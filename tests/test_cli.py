@@ -106,26 +106,13 @@ def test_eval_replay_is_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_eval_threads_match_sequential(tmp_path):
-    cfg = _write(tmp_path, "e.cfg", EVAL_CFG)
-    seq, par = tmp_path / "seq.csv", tmp_path / "par.csv"
-    assert main(["eval", "--config", str(cfg), "--scheme", "baseline1",
-                 "--out", str(seq)]) == 0
-    assert main(["eval", "--config", str(cfg), "--scheme", "baseline1",
-                 "--out", str(par), "--threads", "3"]) == 0
-    assert seq.read_bytes() == par.read_bytes()
-
-
 @pytest.mark.parametrize("flags,named", [
     (["--scheme", "baseline1", "--model", "absent.zicmodel"], "--model"),
     (["--scheme", "baseline2", "--model", "absent.zicmodel"], "--model"),
     (["--scheme", "baseline1", "--model-dir", "absent"], "--model-dir"),
     (["--scheme", "baseline2", "--model-dir", "absent"], "--model-dir"),
     (["--scheme", "dae", "--model", "absent.zicmodel", "--model-dir", "absent"], "--model-dir"),
-    (["--scheme", "baseline1", "--threads", "0"], "--threads"),
-    (["--scheme", "baseline1", "--threads", "-3"], "--threads"),
-], ids=["b1-model", "b2-model", "b1-model-dir", "b2-model-dir", "model-and-dir",
-        "threads-0", "threads-neg"])
+], ids=["b1-model", "b2-model", "b1-model-dir", "b2-model-dir", "model-and-dir"])
 def test_eval_refuses_ignored_flags(tmp_path, capsys, flags, named):
     cfg = _write(tmp_path, "e.cfg", EVAL_CFG)
     out = tmp_path / "r.csv"
@@ -278,13 +265,23 @@ def test_unusable_estimation_setting_fails_fast(tmp_path, capsys, command, text,
 
 @pytest.mark.parametrize("line", ["n_bits = 0", "total_power = 0", "sigma_h2 = -1",
                                   "n_q = 0", "sigma_e2 = -0.1", "threshold_t = 0",
-                                  "csi_mode = psychic"])
+                                  "csi_mode = psychic", "n_symbols_per_point = -5",
+                                  "alpha_grid = -1", "alpha_grid = 0.5, inf",
+                                  "snr_grid_db = 10, nan", "snr_grid_db = -inf"])
 def test_eval_invalid_channel_value_exits_2(tmp_path, capsys, line):
     cfg = _write(tmp_path, "e.cfg", EVAL_CFG + line + "\n")
     rc = main(["eval", "--config", str(cfg), "--scheme", "baseline1",
                "--out", str(tmp_path / "r.csv")])
     assert rc == 2
     assert line.split()[0] in capsys.readouterr().err
+
+
+def test_eval_has_no_threads_option(tmp_path):
+    cfg = _write(tmp_path, "e.cfg", EVAL_CFG)
+    with pytest.raises(SystemExit):
+        main(["eval", "--config", str(cfg), "--scheme", "baseline1",
+              "--out", str(tmp_path / "r.csv"), "--threads", "2"])
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_ablation_has_no_threads_option(tmp_path):

@@ -87,21 +87,21 @@ n_symbols_per_point = 500
 
 GOLDEN = {
     "ablation.csv":
-        "af7e598c026eed1050a5dd61a745954f26c568ad3eba0d42ac542334e505d6e6",
+        "fb57c8b2051fb15b8507a342db6d79eefc14cf2111193bc100309d98b7627877",
     "constellation.csv":
         "5933916586a463f8730f3bda9f60d0834d87b07e6420e6327fad820b7b3514e5",
     "eval-baseline1-imperfect.csv":
-        "caaeea237cf5ab738be68856232c922ca01ad42013cf95fa0c69b7fd29d91a9a",
+        "21efa2baaf63aa8cff8618da1ffafbbee6667aec549f15893cd24cc8d2a85fe1",
     "eval-baseline1-perfect.csv":
-        "432a8c2e43774964a34a70a165edfe0949fa160816f5ad459b3ca9ebd46dbd03",
+        "b4ff5e3695a1c34e71d822122737c81de4789339f710f69343e139370ca0937c",
     "eval-baseline2-imperfect.csv":
-        "c91a3ebe3b1366df5b0c530952d1b97bf8c1c6595998bbf4cf66748595087f98",
+        "be5da5ad53cf0dc120f317c113203f403fb2bac646b5bb0ff3ec1b03a742c6a0",
     "eval-baseline2-perfect.csv":
-        "9f69ba20d8bc4f38dca29cd0137af733b216b2263e6aaea667090510553712ae",
+        "16906be5790b70380078af68a762f3c4be976db301426dc1a6bced25fb014582",
     "eval-dae-imperfect.csv":
-        "55dec95125e6a12e7b317af31ee0df5c57947c659e9e21c18b75cd70b2fedc4e",
+        "5c4afd167ffaaf28906178fee63af5875d3c1252cfd924ec53b95d69d4642d55",
     "eval-dae-perfect.csv":
-        "73bd263a00d1071e5dfbb2ed3eca87a63fcce14980e4f58a019c08420d86d575",
+        "a7979196710682af12fd8617fc7a13a4bb176856c591815fbd62adfade596a86",
     "imperfect.zicmodel":
         "8d6a8b1920935ab9895c59ce3a3b0a9065a751ea0263ff7b6e35985dfe149a4c",
     "imperfect.zicmodel.train.csv":

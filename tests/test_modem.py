@@ -176,3 +176,47 @@ def test_constellation_rows_format():
     assert len(rows) == 4
     assert rows[0][0] == "00" and rows[3][0] == "11"
     assert all(isinstance(r[1], float) and isinstance(r[2], float) for r in rows)
+
+
+def _argmin_reference(y, c1, c2, cross):
+    """The full distance matrix with argmin: the lowest index wins exact ties."""
+    comp = (c1.points[:, None] + cross * c2.points[None, :]).ravel()
+    idx = np.argmin(np.abs(y[:, None] - comp[None, :]), axis=1)
+    return index_to_bits(idx // c2.size, c1.n_bits), index_to_bits(
+        np.argmin(np.abs(y[:, None] - c2.points[None, :]), axis=1), c2.n_bits)
+
+
+def test_per_draw_detection_equals_one_draw_at_a_time():
+    c1 = standard_qam(2, 1.0)
+    rng = np.random.default_rng(4)
+    thetas = [0.0, 0.0, 0.3, 1.1]
+    crosses = np.array([1.0, 0.0, 0.8 * cmath.exp(0.25j), 1.4 * cmath.exp(-0.6j)])
+    c2 = Constellation(np.stack([rotate(c1, t).points for t in thetas]), 2, 1.0)
+    n = 64
+    y = rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n))
+    # exact ties: noiseless composite points (draw 0 has alpha 1 and no
+    # rotation, so pairs coincide), the origin, and equidistant midpoints
+    y[:, :16] = (c1.points[:, None] + crosses[:, None, None] * c2.points[:, None, :]
+                 ).reshape(4, 16)
+    y[:, 16] = 0.0
+    y[:, 17] = (c1.points[0] + c1.points[1]) / 2.0
+    columns = Constellation(c2.points[:, None, :], 2, 1.0)
+    hat1 = detect_rx1(y, c1, columns, crosses[:, None])
+    hat2 = detect_rx2(y, columns)
+    assert hat1.shape == hat2.shape == (4, n, 2)
+    for d in range(4):
+        one = Constellation(c2.points[d], 2, 1.0)
+        assert np.array_equal(hat1[d], detect_rx1(y[d], c1, one, crosses[d]))
+        assert np.array_equal(hat2[d], detect_rx2(y[d], one))
+        ref1, ref2 = _argmin_reference(y[d], c1, one, crosses[d])
+        assert np.array_equal(hat1[d], ref1) and np.array_equal(hat2[d], ref2)
+
+
+def test_modulate_per_draw_constellation():
+    c = standard_qam(2, 1.0)
+    per_draw = Constellation(np.stack([c.points, -c.points, 1j * c.points])[:, None, :], 2, 1.0)
+    bits = np.random.default_rng(5).integers(0, 2, size=(3, 10, 2))
+    x = modulate(per_draw, bits)
+    assert x.shape == (3, 10)
+    for d, scale in enumerate((1, -1, 1j)):
+        assert np.array_equal(x[d], scale * modulate(c, bits[d]))
