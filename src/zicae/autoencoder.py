@@ -136,9 +136,7 @@ class Transmitter:
             self.net2 = []
             self.pnorm = None
         self.patterns = index_to_bits(np.arange(1 << cfg.n_bits), cfg.n_bits).astype(float)
-        self._idx = None
-        self._xb = None
-        self._gamma = None
+        self._cache = None
 
     def forward(self, bits: np.ndarray, sqrt_alpha: float, training: bool) -> np.ndarray:
         idx = pattern_index(bits, self.n_bits)
@@ -156,9 +154,7 @@ class Transmitter:
             gamma = self.pnorm.forward(g)
         else:
             gamma = np.full((1, 2), math.sqrt(self.total_power / 2.0))
-        self._idx = idx
-        self._xb = xb
-        self._gamma = gamma
+        self._cache = (idx, xb, gamma)
         return xb * gamma
 
     def points(self, sqrt_alpha: float) -> np.ndarray:
@@ -167,14 +163,15 @@ class Transmitter:
         return x[:, 0] + 1j * x[:, 1]
 
     def backward(self, grad_x: np.ndarray) -> None:
+        idx, xb, gamma = nn.take_cache(self)
         if self.flags.use_subnet2:
-            g_gamma = np.sum(grad_x * self._xb, axis=0, keepdims=True)
+            g_gamma = np.sum(grad_x * xb, axis=0, keepdims=True)
             g = self.pnorm.backward(g_gamma)
             for layer in reversed(self.net2):
                 g = layer.backward(g)
-        g = self.bpn.backward(grad_x * self._gamma)
+        g = self.bpn.backward(grad_x * gamma)
         n_patterns = len(self.patterns)
-        g = np.stack([np.bincount(self._idx, weights=col, minlength=n_patterns)
+        g = np.stack([np.bincount(idx, weights=col, minlength=n_patterns)
                       for col in g.T], axis=1)
         for layer in reversed(self.net1):
             g = layer.backward(g)
@@ -209,7 +206,7 @@ class Receiver:
             block = nn.Dense(width, width, nn.TANH, rng)
             self.net.append(nn.Residual(block) if cfg.flags.use_shortcuts else block)
         self.net.append(nn.Dense(width, cfg.n_bits, nn.SIGMOID, rng))
-        self._eta = None
+        self._cache = None
 
     def forward(self, y: np.ndarray, extras: list, eta, training: bool) -> np.ndarray:
         if len(extras) != self.n_extras:
@@ -222,14 +219,15 @@ class Receiver:
             x = yd
         for layer in self.net:
             x = layer.forward(x)
-        self._eta = eta
+        self._cache = eta
         return x
 
     def backward(self, grad_probs: np.ndarray) -> np.ndarray:
+        eta = nn.take_cache(self)
         g = grad_probs
         for layer in reversed(self.net):
             g = layer.backward(g)
-        return self.bpn.backward(g[:, :2] * self._eta)
+        return self.bpn.backward(g[:, :2] * eta)
 
     def params(self) -> list[np.ndarray]:
         return [p for layer in self.net for p in layer.params()]
@@ -248,7 +246,7 @@ class ZicAutoencoder:
         to_rx = 1 if arch.flags.alpha_to_rx else 0
         self.rx1 = Receiver(arch, to_rx + (1 if arch.csi_mode == IMPERFECT else 0), rng)
         self.rx2 = Receiver(arch, to_rx, rng)
-        self._H = None
+        self._cache = None
 
     # -- wiring -----------------------------------------------------------
 
@@ -287,13 +285,13 @@ class ZicAutoencoder:
         H22 = _complex_matrix(eq.hbar22)
         y1 = nn.gaussian_noise(x1 @ H11.T + x2 @ H21.T, eq.noise_var_rx1 / 2.0, rng)
         y2 = nn.gaussian_noise(x2 @ H22.T, eq.noise_var_rx2 / 2.0, rng)
-        self._H = (H11, H21, H22)
+        self._cache = (H11, H21, H22)
         return self._receive(y1, y2, knows, noise_var, training)
 
     def backward(self, bits1: np.ndarray, bits2: np.ndarray,
                  p1: np.ndarray, p2: np.ndarray) -> None:
-        """Backpropagate the summed cross-entropy of the latest forward pass."""
-        H11, H21, H22 = self._H
+        """Backpropagate the summed cross-entropy of the latest forward pass, once."""
+        H11, H21, H22 = nn.take_cache(self)
         gy1 = self.rx1.backward(nn.bce_loss_grad(bits1, p1))
         gy2 = self.rx2.backward(nn.bce_loss_grad(bits2, p2))
         self.tx1.backward(gy1 @ H11)

@@ -151,6 +151,9 @@ class ChannelConfig:
                                ("threshold_t", self.threshold_t > 0, "> 0")):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        if self.mu_h == 0 and self.sigma_h2 == 0:
+            raise ValueError("mu_h_re = mu_h_im = 0 with sigma_h2 = 0 makes every direct "
+                             "gain zero, which cannot be normalized out")
 
     def noise_var(self, snr_db: float) -> float:
         """Nominal noise power sigma_N^2 at ``snr_db`` for the total power budget."""

@@ -1,8 +1,13 @@
 """Minimal dense-network engine with analytic backpropagation.
 
-Everything runs on float64 numpy arrays shaped (batch, features).  Layers
-cache whatever their backward pass needs during forward; each layer instance
-therefore appears exactly once in a computation graph.  Gradients are summed
+Everything runs on float64 numpy arrays shaped (batch, features).  Each
+layer's forward caches what its backward needs, and that backward consumes
+the cache, so a trained network holds only parameters and gradients.  The
+training contract: one backward per forward, layers in reverse order, and
+no other call on a layer (or on a model holding it) between the two.  A
+backward with no cache to consume raises RuntimeError.  A tanh layer's
+backward writes over its forward output, which is dead by then.  Each layer
+instance appears exactly once in a computation graph.  Gradients are summed
 over the batch (losses carry their own 1/batch factor).
 
 Besides the usual dense/residual blocks this module provides the two
@@ -22,9 +27,20 @@ LINEAR = "none"
 _EPS_NORM = 1e-12  # floor inside both normalization denominators
 
 
+def take_cache(owner):
+    """The cache of ``owner``'s latest forward, removed so a backward runs once on it."""
+    cache = owner._cache
+    if cache is None:
+        raise RuntimeError(f"{type(owner).__name__}.backward has no forward cache to "
+                           "consume: call forward once before each backward")
+    owner._cache = None
+    return cache
+
+
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+    """Activation of the fresh pre-activation z; tanh overwrites z."""
     if kind == TANH:
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if kind == SIGMOID:
         return 1.0 / (1.0 + np.exp(-z))
     if kind == LINEAR:
@@ -32,14 +48,21 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _activation_grad(y: np.ndarray, kind: str) -> np.ndarray:
-    """Derivative expressed through the cached activation output y."""
+def _activation_grad(y: np.ndarray, grad_out: np.ndarray, kind: str) -> np.ndarray:
+    """grad_out times the derivative, expressed through the consumed output y.
+
+    tanh writes the result over y; sigmoid's y is the caller's output and
+    stays intact.
+    """
     if kind == TANH:
-        return 1.0 - y * y
+        np.multiply(y, y, out=y)
+        np.subtract(1.0, y, out=y)
+        y *= grad_out
+        return y
     if kind == SIGMOID:
-        return y * (1.0 - y)
+        return grad_out * (y * (1.0 - y))
     if kind == LINEAR:
-        return np.ones_like(y)
+        return grad_out
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -55,19 +78,21 @@ class Dense:
         self.activation = activation
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
-        self._x = None
-        self._y = None
+        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.shape[1] != self.W.shape[1]:
             raise ValueError(f"expected {self.W.shape[1]} input columns, got {x.shape[1]}")
-        self._x = x
-        self._y = _activate(x @ self.W.T + self.b, self.activation)
-        return self._y
+        z = x @ self.W.T
+        z += self.b
+        y = _activate(z, self.activation)
+        self._cache = (x, y)
+        return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        gz = grad_out * _activation_grad(self._y, self.activation)
-        self.dW = gz.T @ self._x
+        x, y = take_cache(self)
+        gz = _activation_grad(y, grad_out, self.activation)
+        self.dW = gz.T @ x
         self.db = gz.sum(axis=0)
         return gz @ self.W
 
@@ -88,7 +113,9 @@ class Residual:
         return x + self.inner.forward(x)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out + self.inner.backward(grad_out)
+        grad_in = self.inner.backward(grad_out)
+        grad_in += grad_out
+        return grad_in
 
     def params(self) -> list[np.ndarray]:
         return self.inner.params()
@@ -110,31 +137,29 @@ class BatchPowerNorm:
             raise ValueError(f"momentum must be in (0,1), got {momentum}")
         self.momentum = momentum
         self.running_ms = np.ones(n_cols)
-        self._x = None
-        self._ms = None
-        self._floored = None
-        self._beta = None
+        self._cache = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         if training:
             ms = np.mean(x * x, axis=0)
             self.running_ms = self.momentum * self.running_ms + (1.0 - self.momentum) * ms
-            self._floored = ms < _EPS_NORM
-            self._ms = np.maximum(ms, _EPS_NORM)
-            self._x = x
-            self._beta = 1.0 / np.sqrt(self._ms)
+            floored = ms < _EPS_NORM
+            ms = np.maximum(ms, _EPS_NORM)
+            beta = 1.0 / np.sqrt(ms)
+            self._cache = (beta, (x, ms, floored))
         else:
-            self._x = None
-            self._beta = 1.0 / np.sqrt(np.maximum(self.running_ms, _EPS_NORM))
-        return x * self._beta
+            beta = 1.0 / np.sqrt(np.maximum(self.running_ms, _EPS_NORM))
+            self._cache = (beta, None)
+        return x * beta
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._x is None:  # inference: beta is a constant
-            return grad_out * self._beta
-        n = self._x.shape[0]
-        corr = self._x * (np.sum(grad_out * self._x, axis=0) / (n * self._ms**1.5))
-        dx = grad_out * self._beta - np.where(self._floored, 0.0, corr)
-        return dx
+        beta, batch_stat = take_cache(self)
+        if batch_stat is None:  # inference: beta is a constant
+            return grad_out * beta
+        x, ms, floored = batch_stat
+        n = x.shape[0]
+        corr = x * (np.sum(grad_out * x, axis=0) / (n * ms**1.5))
+        return grad_out * beta - np.where(floored, 0.0, corr)
 
     def params(self) -> list[np.ndarray]:
         return []
@@ -150,20 +175,18 @@ class PowerNorm:
         if total_power <= 0:
             raise ValueError(f"total_power must be > 0, got {total_power}")
         self.total_power = total_power
-        self._x = None
-        self._r = None
+        self._cache = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        r = np.sqrt(np.sum(x * x, axis=1, keepdims=True))
-        self._x = x
-        self._r = np.maximum(r, _EPS_NORM)
-        return np.sqrt(self.total_power) * x / self._r
+        r = np.maximum(np.sqrt(np.sum(x * x, axis=1, keepdims=True)), _EPS_NORM)
+        self._cache = (x, r)
+        return np.sqrt(self.total_power) * x / r
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        dot = np.sum(grad_out * self._x, axis=1, keepdims=True)
-        floored = self._r <= _EPS_NORM
-        corr = np.where(floored, 0.0, self._x * dot / self._r**3)
-        return np.sqrt(self.total_power) * (grad_out / self._r - corr)
+        x, r = take_cache(self)
+        dot = np.sum(grad_out * x, axis=1, keepdims=True)
+        corr = np.where(r <= _EPS_NORM, 0.0, x * dot / r**3)
+        return np.sqrt(self.total_power) * (grad_out / r - corr)
 
     def params(self) -> list[np.ndarray]:
         return []

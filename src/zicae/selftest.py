@@ -48,7 +48,7 @@ def _check_power_constraint() -> None:
         x = model.tx1.forward(bits, 1.0, training=True)
         power = float(np.mean(np.sum(x * x, axis=1)))
         assert abs(power - cfg.total_power) < 1e-9, f"batch power {power} != P_t"
-        gamma = model.tx1._gamma
+        _, _, gamma = model.tx1._cache
         assert abs(float((gamma * gamma).sum()) - cfg.total_power) < 1e-12, "gamma norm off"
 
 

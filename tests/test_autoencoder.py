@@ -193,6 +193,45 @@ def test_gradient_isolation_between_users():
     assert not np.array_equal(p2_new, p2_ref)
 
 
+def test_backward_consumes_the_forward_pass():
+    _, model = _mini_model()
+    rng = np.random.default_rng(7)
+    b1 = rng.integers(0, 2, size=(16, 2)).astype(float)
+    b2 = rng.integers(0, 2, size=(16, 2)).astype(float)
+    with pytest.raises(RuntimeError, match="ZicAutoencoder.backward"):
+        model.backward(b1, b2, b1, b2)
+    p1, p2 = model.forward(b1, b2, _unit_channel(), CsiInputs(1.0, 1.0, 1.0), 0.1, rng)
+    model.backward(b1, b2, p1, p2)
+    with pytest.raises(RuntimeError, match="ZicAutoencoder.backward"):
+        model.backward(b1, b2, p1, p2)
+
+
+def _reachable_arrays(obj, seen=None):
+    """Every ndarray reachable from ``obj`` through attributes and containers."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (list, tuple)):
+        children = obj
+    elif isinstance(obj, dict):
+        children = obj.values()
+    else:
+        children = getattr(obj, "__dict__", {}).values()
+    return [a for child in children for a in _reachable_arrays(child, seen)]
+
+
+def test_trained_model_holds_no_batch_activations():
+    batch = 777  # no layer width or pattern count has this many rows
+    model, _ = train(TrainConfig(**{**MINI, "n_channels": 2, "epochs_per_channel": 2,
+                                    "batch": batch}))
+    arrays = _reachable_arrays(model)
+    assert len(arrays) > len(model.params())
+    assert [a.shape for a in arrays if a.ndim and len(a) == batch] == []
+
+
 def test_ablation_parameter_counts():
     _, full = _mini_model()
     _, lean = _mini_model(flags=AblationFlags(use_subnet2=False,

@@ -276,6 +276,18 @@ def test_eval_invalid_channel_value_exits_2(tmp_path, capsys, line):
     assert line.split()[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,text,extra", [
+    ("train", TINY_TRAIN, []),
+    ("eval", EVAL_CFG, ["--scheme", "baseline1"]),
+], ids=["train", "eval"])
+def test_always_zero_direct_gain_exits_2(tmp_path, capsys, command, text, extra):
+    cfg = _write(tmp_path, "c.cfg", text + "mu_h_re = 0\nsigma_h2 = 0\n")
+    rc = main([command, "--config", str(cfg), *extra, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "mu_h_re" in err and "sigma_h2" in err
+
+
 def test_eval_has_no_threads_option(tmp_path):
     cfg = _write(tmp_path, "e.cfg", EVAL_CFG)
     with pytest.raises(SystemExit):

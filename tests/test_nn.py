@@ -150,6 +150,48 @@ def test_power_norm_gradient():
     _fd_check(loss, front.params(), front.grads())
 
 
+@pytest.mark.parametrize("kind", [nn.TANH, nn.SIGMOID, nn.LINEAR])
+def test_dense_backward_consumes_its_forward(kind):
+    rng = np.random.default_rng(14)
+    layer = nn.Dense(3, 2, kind, rng)
+    grad = rng.normal(size=(4, 2))
+    with pytest.raises(RuntimeError, match="Dense.backward"):
+        layer.backward(grad)
+    y = layer.forward(rng.normal(size=(4, 3)))
+    kept = y.copy()
+    layer.backward(grad)
+    if kind != nn.TANH:  # output layers hand the caller an output backward leaves alone
+        assert np.array_equal(y, kept)
+    with pytest.raises(RuntimeError, match="Dense.backward"):
+        layer.backward(grad)
+
+
+def test_residual_backward_consumes_its_forward():
+    rng = np.random.default_rng(15)
+    block = nn.Residual(nn.Dense(3, 3, nn.TANH, rng))
+    grad = rng.normal(size=(4, 3))
+    with pytest.raises(RuntimeError, match="Dense.backward"):
+        block.backward(grad)
+    block.forward(rng.normal(size=(4, 3)))
+    block.backward(grad)
+    with pytest.raises(RuntimeError, match="Dense.backward"):
+        block.backward(grad)
+
+
+@pytest.mark.parametrize("training", [True, False])
+def test_batch_power_norm_backward_consumes_its_forward(training):
+    bpn = nn.BatchPowerNorm(2)
+    x = np.random.default_rng(16).normal(size=(8, 2))
+    with pytest.raises(RuntimeError, match="BatchPowerNorm.backward"):
+        bpn.backward(x)
+    bpn.forward(x, training)
+    dx = bpn.backward(x)
+    if not training:  # the frozen scale, still the initial 1, passes straight through
+        assert np.array_equal(dx, x)
+    with pytest.raises(RuntimeError, match="BatchPowerNorm.backward"):
+        bpn.backward(x)
+
+
 def test_gaussian_noise_layer():
     x = np.ones((10, 2))
     assert nn.gaussian_noise(x, 0.0, np.random.default_rng(11)) is x
