@@ -73,6 +73,11 @@ class TrainConfig(ChannelConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        for name in ("alpha_min", "alpha_max", "train_snr_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.alpha_min < 0:
+            raise ValueError(f"alpha_min must be >= 0, got {self.alpha_min!r}")
         if not self.alpha_min < self.alpha_max:
             raise ValueError("need alpha_min < alpha_max")
         for name in ("epochs_per_channel", "batch", "decay_every",

@@ -116,7 +116,7 @@ def ideal_context(alpha: float, snr_db: float, total_power: float = 1.0) -> Chan
     """Unit direct gains and exact noise power: the analytic-oracle setting."""
     nv = ChannelConfig(total_power=total_power).noise_var(snr_db)
     sa = math.sqrt(alpha)
-    eq = EquivalentChannel(1.0 + 0j, complex(sa), 1.0 + 0j, sa, nv, nv)
+    eq = EquivalentChannel(1.0 + 0j, complex(sa), 1.0 + 0j, nv, nv)
     return ChannelContext(eq, nv, alpha, CsiInputs(sa, sa, sa))
 
 

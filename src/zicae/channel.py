@@ -7,6 +7,13 @@ a complex cross gain carrying estimation/quantization residuals (imperfect
 CSI), and per-receiver noise variances scaled by the inverse squared direct
 gains.
 
+One channel draw passes through one record per stage: the raw gains
+(:class:`ChannelRealization`), Rx1's estimate of them
+(:class:`EstimatedChannel`), what each node knows after the N_q-bit feedback
+of (alpha, theta) (:class:`CsiInputs`, from :func:`make_feedback`), the
+equivalent channel (:class:`EquivalentChannel`) and the context that joins
+the last two (:class:`ChannelContext`).
+
 Complex Gaussian convention: CN(mu, var) has independent real/imaginary parts,
 each N(Re/Im(mu), var/2).
 
@@ -22,7 +29,6 @@ into one context holding an array entry per draw.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 
@@ -30,6 +36,10 @@ import numpy as np
 
 PERFECT = "perfect"
 IMPERFECT = "imperfect"
+
+# feedback quantizer ranges of the interference intensity and the angle
+ALPHA_RANGE = (0.0, 3.0)
+THETA_RANGE = (-math.pi, math.pi)
 
 # keep-rule attempts per channel draw before the estimation setting is
 # declared unusable; at an acceptance of 8e-4 a false trip has probability
@@ -58,15 +68,13 @@ class ChannelRealization:
 class EquivalentChannel:
     """Normalized channel actually simulated.
 
-    Perfect CSI: hbar11 = hbar22 = 1 and hbar21 = sqrt_alpha (real >= 0).
+    Perfect CSI: hbar11 = hbar22 = 1 and hbar21 = sqrt(alpha) (real >= 0).
     Imperfect CSI: the gains carry estimation-error and residual-phase terms.
-    ``sqrt_alpha`` is the cross-gain magnitude ratio the receivers assume.
     """
 
     hbar11: complex
     hbar21: complex
     hbar22: complex
-    sqrt_alpha: float
     noise_var_rx1: float
     noise_var_rx2: float
 
@@ -195,66 +203,23 @@ class EstimatedChannel:
 
 
 @dataclass(frozen=True)
-class Quantizer:
-    """Uniform midpoint quantizer over [lo, hi] with 2**n_bits segments.
+class CsiInputs:
+    """Interference knowledge available at each node for one channel.
 
-    Segments are half-open [lo + k*w, lo + (k+1)*w), the last one closed;
-    out-of-range inputs clamp to the nearest end segment.  The output is
-    always the midpoint of the selected segment.
+    sa_* are sqrt-intensity values: the transmitters and Rx2 see the fed-back
+    (possibly quantized) value, Rx1 its own non-quantized estimate plus the
+    residual feedback angle (None under perfect CSI).
     """
 
-    n_bits: int
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if self.n_bits < 1:
-            raise ValueError(f"n_bits must be >= 1, got {self.n_bits}")
-        if not self.hi > self.lo:
-            raise ValueError(f"need hi > lo, got [{self.lo}, {self.hi}]")
-
-    @property
-    def step(self) -> float:
-        return (self.hi - self.lo) / (1 << self.n_bits)
-
-
-@dataclass(frozen=True)
-class FeedbackMessage:
-    """Quantized CSI sent by Rx1; theta_delta is known only at Rx1."""
-
-    alpha_q: float
-    theta_q: float
-    theta_delta: float
-
-
-@functools.cache
-def alpha_quantizer(n_bits: int) -> Quantizer:
-    """Quantizer for the interference intensity, range [0, 3]."""
-    return Quantizer(n_bits, 0.0, 3.0)
-
-
-@functools.cache
-def theta_quantizer(n_bits: int) -> Quantizer:
-    """Quantizer for the feedback angle, range [-pi, pi]."""
-    return Quantizer(n_bits, -math.pi, math.pi)
-
-
-def complex_gaussian(rng: np.random.Generator, mean: complex = 0.0,
-                     var: float = 1.0, size=None):
-    """Draw CN(mean, var): each real component N(.., var/2).
-
-    Returns a python complex for ``size=None``, else a complex ndarray.
-    """
-    if size is None:
-        return _complex_gaussians(rng, mean, var, 1)[0]
-    scale = math.sqrt(var / 2.0) if var > 0 else 0.0
-    z = rng.standard_normal((size, 2))
-    return complex(mean) + scale * (z[:, 0] + 1j * z[:, 1])
+    sa_tx: float
+    sa_rx1: float
+    sa_rx2: float
+    theta_delta: float | None = None
 
 
 def _complex_gaussians(rng: np.random.Generator, mean: complex, var: float,
                        n: int) -> list[complex]:
-    """``n`` python complex CN(mean, var) draws, the stream of ``n`` scalar draws."""
+    """``n`` python complex CN(mean, var) draws from one ``standard_normal(2n)`` call."""
     scale = math.sqrt(var / 2.0) if var > 0 else 0.0
     z = rng.standard_normal(2 * n).tolist()
     return [mean + scale * complex(z[i], z[i + 1]) for i in range(0, 2 * n, 2)]
@@ -296,12 +261,10 @@ def normalize_perfect(ch: ChannelRealization, noise_var: float) -> EquivalentCha
     r22 = abs(ch.h22)
     if r11 == 0.0 or r22 == 0.0:
         raise DegenerateChannelError("direct gain is zero; channel cannot be normalized")
-    sqrt_alpha = abs(ch.h21) / r11
     return EquivalentChannel(
         hbar11=1.0 + 0j,
-        hbar21=complex(sqrt_alpha),
+        hbar21=complex(abs(ch.h21) / r11),
         hbar22=1.0 + 0j,
-        sqrt_alpha=sqrt_alpha,
         noise_var_rx1=noise_var / r11**2,
         noise_var_rx2=noise_var / r22**2,
     )
@@ -342,25 +305,33 @@ def accept_channel(est: EstimatedChannel, cfg: ChannelConfig) -> bool:
     return max(ratios) < cfg.threshold_t
 
 
-def quantize(q: Quantizer, value: float) -> float:
-    """Midpoint of the segment containing ``value`` (clamped into range)."""
-    n_seg = 1 << q.n_bits
-    w = q.step
-    k = int(math.floor((value - q.lo) / w))
+def quantize(value: float, n_bits: int, lo: float, hi: float) -> float:
+    """Uniform midpoint quantizer over [lo, hi] with 2**n_bits segments.
+
+    Segments are half-open [lo + k*w, lo + (k+1)*w), the last one closed;
+    out-of-range inputs clamp to the nearest end segment.  The output is
+    always the midpoint of the selected segment.
+    """
+    n_seg = 1 << n_bits
+    w = (hi - lo) / n_seg
+    k = int(math.floor((value - lo) / w))
     k = min(max(k, 0), n_seg - 1)
-    return q.lo + (k + 0.5) * w
+    return lo + (k + 0.5) * w
 
 
-def make_feedback(est: EstimatedChannel, q_alpha: Quantizer,
-                  q_theta: Quantizer) -> FeedbackMessage:
-    """Quantize (alpha_hat, theta_hat) for feedback; record the angle residual."""
-    alpha_q = quantize(q_alpha, est.alpha_hat)
-    theta_q = quantize(q_theta, est.theta_hat)
-    return FeedbackMessage(alpha_q=alpha_q, theta_q=theta_q,
-                           theta_delta=theta_q - est.theta_hat)
+def make_feedback(est: EstimatedChannel, n_q: int) -> CsiInputs:
+    """What each node knows after Rx1 feeds back (alpha_hat, theta_hat) on n_q bits.
+
+    The transmitters and Rx2 see the quantized intensity, Rx1 its own
+    estimate plus the residual angle quantized(theta_hat) - theta_hat.
+    """
+    sa_q = math.sqrt(quantize(est.alpha_hat, n_q, *ALPHA_RANGE))
+    theta_q = quantize(est.theta_hat, n_q, *THETA_RANGE)
+    return CsiInputs(sa_tx=sa_q, sa_rx1=math.sqrt(est.alpha_hat), sa_rx2=sa_q,
+                     theta_delta=theta_q - est.theta_hat)
 
 
-def normalize_imperfect(est: EstimatedChannel, fb: FeedbackMessage,
+def normalize_imperfect(est: EstimatedChannel, theta_delta: float,
                         true_ch: ChannelRealization | None,
                         noise_var: float) -> EquivalentChannel:
     """Equivalent model when nodes equalize with estimated gains.
@@ -379,12 +350,11 @@ def normalize_imperfect(est: EstimatedChannel, fb: FeedbackMessage,
             if abs(hhat + eps - h) > 1e-9 * max(1.0, abs(h)):
                 raise ValueError("estimate is inconsistent with the true channel")
     mag_ratio = abs(est.hhat21) / abs(est.hhat11)
-    hbar21 = mag_ratio * cmath.exp(1j * fb.theta_delta) + est.eps21 / est.hhat11
+    hbar21 = mag_ratio * cmath.exp(1j * theta_delta) + est.eps21 / est.hhat11
     return EquivalentChannel(
         hbar11=1.0 + est.eps11 / est.hhat11,
         hbar21=hbar21,
         hbar22=1.0 + est.eps22 / est.hhat22,
-        sqrt_alpha=mag_ratio,
         noise_var_rx1=noise_var / abs(est.hhat11) ** 2,
         noise_var_rx2=noise_var / abs(est.hhat22) ** 2,
     )
@@ -432,21 +402,6 @@ def _complex_noise(rng: np.random.Generator, var, shape):
     scale = np.sqrt(np.maximum(var, 0.0) / 2.0)
     z = rng.standard_normal((*shape, 2)).view(complex)[..., 0]  # z[..., 0] + 1j*z[..., 1]
     return scale * z
-
-
-@dataclass(frozen=True)
-class CsiInputs:
-    """Interference knowledge available at each node for one channel.
-
-    sa_* are sqrt-intensity values: the transmitters and Rx2 see the fed-back
-    (possibly quantized) value, Rx1 its own non-quantized estimate plus the
-    residual feedback angle (None under perfect CSI).
-    """
-
-    sa_tx: float
-    sa_rx1: float
-    sa_rx2: float
-    theta_delta: float | None = None
 
 
 def _take(obj, rows):
@@ -519,17 +474,11 @@ def channel_context(cfg: ChannelConfig, alpha: float, snr_db: float,
     if cfg.csi_mode == PERFECT:
         ch = draw_channel(cfg, rng)
         sa = math.sqrt(alpha)
-        eq = EquivalentChannel(1.0 + 0j, complex(sa), 1.0 + 0j, sa,
+        eq = EquivalentChannel(1.0 + 0j, complex(sa), 1.0 + 0j,
                                nv / abs(ch.h11) ** 2, nv / abs(ch.h22) ** 2)
         return ChannelContext(eq, nv, alpha, CsiInputs(sa, sa, sa))
     ch, est = draw_accepted_estimate(cfg, alpha, rng)
+    csi = make_feedback(est, cfg.n_q)
     if simulated_residual:
-        theta_delta = rng.uniform(-math.pi / 2**cfg.n_q, math.pi / 2**cfg.n_q)
-        fb = FeedbackMessage(alpha_q=quantize(alpha_quantizer(cfg.n_q), est.alpha_hat),
-                             theta_q=est.theta_hat + theta_delta, theta_delta=theta_delta)
-    else:
-        fb = make_feedback(est, alpha_quantizer(cfg.n_q), theta_quantizer(cfg.n_q))
-    eq = normalize_imperfect(est, fb, ch, nv)
-    sa_q = math.sqrt(fb.alpha_q)
-    return ChannelContext(eq, nv, alpha, CsiInputs(sa_tx=sa_q, sa_rx1=math.sqrt(est.alpha_hat),
-                                                   sa_rx2=sa_q, theta_delta=fb.theta_delta))
+        csi = replace(csi, theta_delta=rng.uniform(-math.pi / 2**cfg.n_q, math.pi / 2**cfg.n_q))
+    return ChannelContext(normalize_imperfect(est, csi.theta_delta, ch, nv), nv, alpha, csi)

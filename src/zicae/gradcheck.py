@@ -36,8 +36,7 @@ def max_relative_gradient_error(seed: int = 0, batch: int = 16, n_bits: int = 2,
     bits1 = rng.integers(0, 2, size=(batch, n_bits)).astype(float)
     bits2 = rng.integers(0, 2, size=(batch, n_bits)).astype(float)
     alpha = 1.2
-    eq = EquivalentChannel(1.0 + 0j, complex(np.sqrt(alpha)), 1.0 + 0j,
-                           float(np.sqrt(alpha)), 0.08, 0.11)
+    eq = EquivalentChannel(1.0 + 0j, complex(np.sqrt(alpha)), 1.0 + 0j, 0.08, 0.11)
     theta = 0.1 if csi_mode == IMPERFECT else None
     knows = CsiInputs(sa_tx=float(np.sqrt(alpha)), sa_rx1=float(np.sqrt(alpha)),
                       sa_rx2=float(np.sqrt(alpha)), theta_delta=theta)

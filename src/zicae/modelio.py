@@ -66,11 +66,11 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def save_model(path, model: ZicAutoencoder, cfg: TrainConfig | None = None) -> None:
+def save_model(path, model: ZicAutoencoder, cfg: TrainConfig) -> None:
     arrays = model_arrays(model)
     header = [MAGIC,
               f"arch_sha256={_sha256(model.arch_descriptor().encode())}",
-              f"config_sha256={_sha256(config_text(cfg).encode()) if cfg else '-'}"]
+              f"config_sha256={_sha256(config_text(cfg).encode())}"]
     header += [f"{key}={text}" for key, text in model.arch.config_items(ARCH_FIELDS)]
     header.append(f"arrays={len(arrays)}")
     for name, arr in arrays:

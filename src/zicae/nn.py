@@ -161,12 +161,6 @@ class BatchPowerNorm:
         corr = x * (np.sum(grad_out * x, axis=0) / (n * ms**1.5))
         return grad_out * beta - np.where(floored, 0.0, corr)
 
-    def params(self) -> list[np.ndarray]:
-        return []
-
-    def grads(self) -> list[np.ndarray]:
-        return []
-
 
 class PowerNorm:
     """Rescale each row to squared norm ``total_power`` (gamma.T @ gamma = P_t)."""
@@ -187,12 +181,6 @@ class PowerNorm:
         dot = np.sum(grad_out * x, axis=1, keepdims=True)
         corr = np.where(r <= _EPS_NORM, 0.0, x * dot / r**3)
         return np.sqrt(self.total_power) * (grad_out / r - corr)
-
-    def params(self) -> list[np.ndarray]:
-        return []
-
-    def grads(self) -> list[np.ndarray]:
-        return []
 
 
 def gaussian_noise(x: np.ndarray, var_per_component: float,
@@ -222,6 +210,12 @@ def bce_loss_grad(s: np.ndarray, s_hat: np.ndarray) -> np.ndarray:
     return -(s / p - (1.0 - s) / (1.0 - p)) / n
 
 
+# Adam moment decay rates and denominator floor
+_BETA1 = 0.9
+_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
+
 class Adam:
     """Adaptive-moment optimizer over a fixed list of parameter arrays.
 
@@ -229,14 +223,9 @@ class Adam:
     learning rate decays multiplicatively via :meth:`decay_lr`.
     """
 
-    def __init__(self, params: list[np.ndarray], lr: float = 1e-2,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 decay: float = 0.95):
+    def __init__(self, params: list[np.ndarray], lr: float = 1e-2, decay: float = 0.95):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.decay = decay
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
@@ -246,14 +235,14 @@ class Adam:
         if len(grads) != len(self.params):
             raise ValueError("gradient list does not match parameter list")
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - _BETA1**self.t
+        bc2 = 1.0 - _BETA2**self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * (g * g)
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS)
 
     def decay_lr(self) -> None:
         self.lr *= self.decay

@@ -8,15 +8,14 @@ original-vs-equivalent channel model identity, and training determinism.
 from __future__ import annotations
 
 import cmath
-import math
 
 import numpy as np
 
 from . import nn
 from .autoencoder import TrainConfig, ZicAutoencoder, train
 from .channel import (
+    THETA_RANGE,
     ChannelConfig,
-    Quantizer,
     draw_zic_channel,
     normalize_perfect,
     quantize,
@@ -25,17 +24,17 @@ from .channel import (
 
 def _check_quantizer() -> None:
     rng = np.random.default_rng(7)
+    lo, hi = THETA_RANGE
     for n_bits in range(1, 9):
-        q = Quantizer(n_bits, -math.pi, math.pi)
-        w = q.step
+        w = (hi - lo) / 2**n_bits
         values = rng.uniform(-4.0, 4.0, size=2000)
         for v in values:
-            out = quantize(q, v)
-            k = round((out - q.lo) / w - 0.5)
+            out = quantize(v, n_bits, lo, hi)
+            k = round((out - lo) / w - 0.5)
             assert 0 <= k < 2**n_bits, "midpoint outside segment table"
-            assert abs(out - (q.lo + (k + 0.5) * w)) < 1e-12, "not a segment midpoint"
-            assert quantize(q, out) == out, "quantizer is not idempotent"
-            if q.lo <= v <= q.hi:
+            assert abs(out - (lo + (k + 0.5) * w)) < 1e-12, "not a segment midpoint"
+            assert quantize(out, n_bits, lo, hi) == out, "quantizer is not idempotent"
+            if lo <= v <= hi:
                 assert abs(out - v) <= w / 2 + 1e-12, "residual exceeds half segment"
 
 

@@ -29,16 +29,15 @@ from zicae.bersim import (
     run_point,
 )
 from zicae.channel import (
+    THETA_RANGE,
     ChannelConfig,
     accept_channel,
-    alpha_quantizer,
     draw_zic_channel,
     estimate,
     make_feedback,
     normalize_imperfect,
     normalize_perfect,
     quantize,
-    theta_quantizer,
 )
 from zicae.gradcheck import max_relative_gradient_error
 from zicae.modem import standard_qam
@@ -226,18 +225,16 @@ def test_c08_imperfect_csi_limits():
     rng = np.random.default_rng(7)
     dist = ChannelConfig(mu_h=1.0, sigma_h2=0.1)
     no_err = ChannelConfig(sigma_e2=0.0)
-    q_alpha, q_theta = alpha_quantizer(30), theta_quantizer(30)
     worst = 0.0
     for _ in range(500):
         ch = draw_zic_channel(dist, rng.uniform(0.0, 3.0), rng)
         est = estimate(ch, no_err, rng)
-        fb = make_feedback(est, q_alpha, q_theta)
-        imp = normalize_imperfect(est, fb, ch, 0.1)
+        csi = make_feedback(est, 30)
+        imp = normalize_imperfect(est, csi.theta_delta, ch, 0.1)
         per = normalize_perfect(ch, 0.1)
         worst = max(worst,
                     abs(imp.hbar11 - per.hbar11), abs(imp.hbar21 - per.hbar21),
                     abs(imp.hbar22 - per.hbar22),
-                    abs(imp.sqrt_alpha - per.sqrt_alpha),
                     abs(imp.noise_var_rx1 - per.noise_var_rx1),
                     abs(imp.noise_var_rx2 - per.noise_var_rx2))
     assert worst < 1e-6, f"zero-error limit deviates by {worst:.2e}"
@@ -263,18 +260,18 @@ def test_c09_quantizer_properties():
     rng = np.random.default_rng(9)
     n_inputs = 100_000
     values = rng.uniform(-2 * math.pi, 2 * math.pi, size=n_inputs)
+    lo, hi = THETA_RANGE
     for n_q in range(1, 9):
-        q = theta_quantizer(n_q)
-        w = q.step
+        w = (hi - lo) / 2**n_q
         for v in values:
-            out = quantize(q, v)
-            k = (out - q.lo) / w - 0.5
+            out = quantize(v, n_q, lo, hi)
+            k = (out - lo) / w - 0.5
             assert abs(k - round(k)) < 1e-9, "output is not a segment midpoint"
-            assert quantize(q, out) == out, "not idempotent"
-            v_in = min(max(v, q.lo), q.hi)
+            assert quantize(out, n_q, lo, hi) == out, "not idempotent"
+            v_in = min(max(v, lo), hi)
             assert abs(out - v_in) <= w / 2 + 1e-12
             # residual bound for in-range angles
-            if q.lo <= v <= q.hi:
+            if lo <= v <= hi:
                 assert abs(out - v) <= math.pi / 2**n_q + 1e-12
     print("\n[PASS] C9 quantizer: midpoint, idempotence and residual bound for N_q=1..8")
 

@@ -31,7 +31,7 @@ def _mini_model(seed=0, **overrides):
 
 def _unit_channel(alpha=1.0, noise_var=0.1):
     sa = math.sqrt(alpha)
-    return EquivalentChannel(1 + 0j, complex(sa), 1 + 0j, sa, noise_var, noise_var)
+    return EquivalentChannel(1 + 0j, complex(sa), 1 + 0j, noise_var, noise_var)
 
 
 def test_transmit_power_constraint_in_training_mode():
@@ -359,3 +359,13 @@ def test_invalid_configs_rejected():
         TrainConfig(csi_mode="psychic")
     with pytest.raises(ValueError):
         TrainConfig(batch=0)
+
+
+@pytest.mark.parametrize("key,value,rule", [
+    ("alpha_min", -1.0, ">= 0"), ("alpha_min", -math.inf, "finite"),
+    ("alpha_max", math.inf, "finite"), ("train_snr_db", math.nan, "finite"),
+    ("train_snr_db", math.inf, "finite"), ("train_snr_db", -math.inf, "finite"),
+])
+def test_train_config_rejects_unusable_alpha_and_snr(key, value, rule):
+    with pytest.raises(ValueError, match=f"{key} must be {rule}"):
+        TrainConfig(**{key: value})

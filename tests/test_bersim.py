@@ -37,7 +37,7 @@ def qfunc(x):
 
 def _noiseless_context(alpha):
     sa = math.sqrt(alpha)
-    eq = EquivalentChannel(1 + 0j, complex(sa), 1 + 0j, sa, 0.0, 0.0)
+    eq = EquivalentChannel(1 + 0j, complex(sa), 1 + 0j, 0.0, 0.0)
     return ChannelContext(eq=eq, noise_var=1e-9, alpha=alpha, csi=CsiInputs(sa, sa, sa))
 
 
@@ -225,7 +225,7 @@ def _draws_context(noise_var, cross, theta_delta=None):
     k = len(cross)
     sa = np.abs(cross)
     eq = EquivalentChannel(np.ones(k, complex), np.asarray(cross, complex), np.ones(k, complex),
-                           sa, np.asarray(noise_var, float), np.asarray(noise_var, float))
+                           np.asarray(noise_var, float), np.asarray(noise_var, float))
     return ChannelContext(eq, 0.1, 1.0, CsiInputs(sa, sa, sa, theta_delta))
 
 

@@ -8,18 +8,16 @@ from zicae import channel
 from zicae.autoencoder import AblationFlags, TrainConfig
 from zicae.bersim import EvalConfig
 from zicae.channel import (
+    ALPHA_RANGE,
+    THETA_RANGE,
     ChannelConfig,
     ChannelRealization,
     DegenerateChannelError,
     EstimatedChannel,
-    FeedbackMessage,
-    Quantizer,
     RejectionLimitError,
     accept_channel,
-    alpha_quantizer,
     apply_channel,
     channel_context,
-    complex_gaussian,
     draw_accepted_estimate,
     draw_channel,
     draw_interference,
@@ -31,7 +29,6 @@ from zicae.channel import (
     normalize_perfect,
     quantize,
     stack_contexts,
-    theta_quantizer,
 )
 
 
@@ -45,7 +42,7 @@ def test_draw_channel_zero_variance_is_exact():
 def test_draw_channel_sample_mean():
     rng = np.random.default_rng(1)
     n = 100_000
-    h = complex_gaussian(rng, 1.0, 0.1, size=n)
+    h = np.array(channel._complex_gaussians(rng, 1.0, 0.1, n))
     tol = 3.0 * math.sqrt(0.1 / n)
     assert abs(h.real.mean() - 1.0) < tol
     assert abs(h.imag.mean()) < tol
@@ -53,7 +50,7 @@ def test_draw_channel_sample_mean():
 
 def test_draw_channel_second_moment():
     rng = np.random.default_rng(2)
-    h = complex_gaussian(rng, 0.0, 1.0, size=100_000)
+    h = np.array(channel._complex_gaussians(rng, 0.0, 1.0, 100_000))
     assert abs(np.mean(np.abs(h) ** 2) - 1.0) < 0.02
 
 
@@ -79,7 +76,7 @@ def test_draw_interference_phase_uniform_ks():
 
 def test_normalize_perfect_direct_substitution():
     eq = normalize_perfect(ChannelRealization(2.0 + 0j, 1.0 + 0j, 1.0 + 0j), 0.1)
-    assert eq.sqrt_alpha == pytest.approx(0.5)
+    assert eq.hbar21 == pytest.approx(0.5)
     assert eq.noise_var_rx1 == pytest.approx(0.025)
     assert eq.noise_var_rx2 == pytest.approx(0.1)
     assert eq.hbar11 == 1.0 + 0j and eq.hbar22 == 1.0 + 0j
@@ -87,7 +84,7 @@ def test_normalize_perfect_direct_substitution():
 
 def test_normalize_perfect_no_interference():
     eq = normalize_perfect(ChannelRealization(1.0 + 0j, 0j, 1.0 + 0j), 0.1)
-    assert eq.sqrt_alpha == 0.0
+    assert eq.hbar21 == 0j
 
 
 def test_normalize_perfect_phases_eliminated():
@@ -164,49 +161,45 @@ def test_accept_always_true_without_error():
 
 
 def test_quantize_alpha_example():
-    q = Quantizer(3, 0.0, 3.0)
-    assert quantize(q, 0.5) == pytest.approx(0.5625, abs=1e-15)
+    assert quantize(0.5, 3, *ALPHA_RANGE) == pytest.approx(0.5625, abs=1e-15)
 
 
 def test_quantize_angle_example():
-    q = theta_quantizer(3)
-    assert quantize(q, 0.0) == pytest.approx(math.pi / 8, abs=1e-15)
+    assert quantize(0.0, 3, *THETA_RANGE) == pytest.approx(math.pi / 8, abs=1e-15)
 
 
 def test_quantize_fine_resolution_bound():
-    q = Quantizer(30, 0.0, 3.0)
     rng = np.random.default_rng(11)
     for v in rng.uniform(0, 3, 200):
-        assert abs(quantize(q, v) - v) <= 3.0 / 2**31 + 1e-15
+        assert abs(quantize(v, 30, 0.0, 3.0) - v) <= 3.0 / 2**31 + 1e-15
 
 
 def test_quantize_idempotent_and_clamps():
     rng = np.random.default_rng(12)
+    lo, hi = THETA_RANGE
     for n_bits in range(1, 9):
-        q = Quantizer(n_bits, -math.pi, math.pi)
         for v in rng.uniform(-5, 5, 200):
-            out = quantize(q, v)
-            assert quantize(q, out) == out
-            assert q.lo < out < q.hi
-    assert quantize(Quantizer(2, 0.0, 1.0), 99.0) == quantize(Quantizer(2, 0.0, 1.0), 1.0)
-    assert quantize(Quantizer(2, 0.0, 1.0), -99.0) == quantize(Quantizer(2, 0.0, 1.0), 0.0)
+            out = quantize(v, n_bits, lo, hi)
+            assert quantize(out, n_bits, lo, hi) == out
+            assert lo < out < hi
+    assert quantize(99.0, 2, 0.0, 1.0) == quantize(1.0, 2, 0.0, 1.0)
+    assert quantize(-99.0, 2, 0.0, 1.0) == quantize(0.0, 2, 0.0, 1.0)
 
 
 def test_feedback_fine_quantizer_limit():
     ch = draw_zic_channel(ChannelConfig(mu_h=1.0, sigma_h2=0.1), 1.2, np.random.default_rng(13))
     est = estimate(ch, ChannelConfig(sigma_e2=0.05), np.random.default_rng(14))
-    fb = make_feedback(est, alpha_quantizer(28), theta_quantizer(28))
-    assert abs(fb.theta_delta) < 1e-7
-    assert abs(fb.alpha_q - est.alpha_hat) < 1e-6
+    csi = make_feedback(est, 28)
+    assert abs(csi.theta_delta) < 1e-7
+    assert abs(csi.sa_tx**2 - est.alpha_hat) < 1e-6
+    assert csi.sa_rx2 == csi.sa_tx and csi.sa_rx1 == math.sqrt(est.alpha_hat)
 
 
 def test_feedback_midpoint_gives_zero_residual():
-    q = theta_quantizer(3)
-    mid = quantize(q, 0.3)  # a segment midpoint by construction
+    mid = quantize(0.3, 3, *THETA_RANGE)  # a segment midpoint by construction
     est = EstimatedChannel(1 + 0j, 1 + 0j, 1 + 0j, 0j, 0j, 0j,
                            alpha_hat=1.0, theta_hat=mid)
-    fb = make_feedback(est, alpha_quantizer(3), q)
-    assert fb.theta_delta == 0.0
+    assert make_feedback(est, 3).theta_delta == 0.0
 
 
 def test_feedback_residual_bound():
@@ -215,15 +208,13 @@ def test_feedback_residual_bound():
     cfg = ChannelConfig(sigma_e2=0.1)
     for _ in range(500):
         est = estimate(draw_zic_channel(dist, rng.uniform(0, 3), rng), cfg, rng)
-        fb = make_feedback(est, alpha_quantizer(3), theta_quantizer(3))
-        assert abs(fb.theta_delta) <= math.pi / 8 + 1e-12
+        assert abs(make_feedback(est, 3).theta_delta) <= math.pi / 8 + 1e-12
 
 
 def test_normalize_imperfect_reduces_to_perfect():
     ch = draw_zic_channel(ChannelConfig(mu_h=1.0, sigma_h2=0.1), 0.8, np.random.default_rng(16))
     est = estimate(ch, ChannelConfig(sigma_e2=0.0), np.random.default_rng(17))
-    fb = FeedbackMessage(alpha_q=est.alpha_hat, theta_q=est.theta_hat, theta_delta=0.0)
-    eq_imp = normalize_imperfect(est, fb, ch, 0.1)
+    eq_imp = normalize_imperfect(est, 0.0, ch, 0.1)
     eq_per = normalize_perfect(ch, 0.1)
     assert eq_imp.hbar11 == eq_per.hbar11
     assert eq_imp.hbar22 == eq_per.hbar22
@@ -234,8 +225,7 @@ def test_normalize_imperfect_reduces_to_perfect():
 
 def test_normalize_imperfect_residual_phase():
     est = EstimatedChannel(1 + 0j, 1 + 0j, 1 + 0j, 0j, 0j, 0j, 1.0, 0.0)
-    fb = FeedbackMessage(alpha_q=1.0, theta_q=math.pi / 8, theta_delta=math.pi / 8)
-    eq = normalize_imperfect(est, fb, None, 0.1)
+    eq = normalize_imperfect(est, math.pi / 8, None, 0.1)
     assert abs(eq.hbar21 - cmath.exp(1j * math.pi / 8)) < 1e-15
 
 
@@ -244,11 +234,11 @@ def test_normalize_imperfect_matches_reevaluation():
     cfg = ChannelConfig(mu_h=1.0, sigma_h2=0.1, sigma_e2=0.1)
     for _ in range(300):
         ch, est = draw_accepted_estimate(cfg, rng.uniform(0, 3), rng)
-        fb = make_feedback(est, alpha_quantizer(3), theta_quantizer(3))
-        eq = normalize_imperfect(est, fb, ch, 0.1)
+        theta_delta = make_feedback(est, 3).theta_delta
+        eq = normalize_imperfect(est, theta_delta, ch, 0.1)
         assert abs(eq.hbar11 - (1 + est.eps11 / est.hhat11)) < 1e-12
         assert abs(eq.hbar22 - (1 + est.eps22 / est.hhat22)) < 1e-12
-        expected21 = (abs(est.hhat21) / abs(est.hhat11)) * cmath.exp(1j * fb.theta_delta) \
+        expected21 = (abs(est.hhat21) / abs(est.hhat11)) * cmath.exp(1j * theta_delta) \
             + est.eps21 / est.hhat11
         assert abs(eq.hbar21 - expected21) < 1e-12
         # accepted channels keep the direct gains near one
@@ -298,7 +288,7 @@ def test_stack_contexts_holds_each_draw(mode):
     draws = [channel_context(cfg, 0.8, 10.0, rng) for _ in range(7)]
     ctx = stack_contexts(draws)
     assert ctx.shape == (7,) and (ctx.alpha, ctx.noise_var) == (0.8, draws[0].noise_var)
-    for name in ("hbar11", "hbar21", "hbar22", "sqrt_alpha", "noise_var_rx1", "noise_var_rx2"):
+    for name in ("hbar11", "hbar21", "hbar22", "noise_var_rx1", "noise_var_rx2"):
         assert getattr(ctx.eq, name).tolist() == [getattr(d.eq, name) for d in draws]
     for name in ("sa_tx", "sa_rx1", "sa_rx2", "theta_delta"):
         values = [getattr(d.csi, name) for d in draws]

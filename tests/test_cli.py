@@ -276,6 +276,17 @@ def test_eval_invalid_channel_value_exits_2(tmp_path, capsys, line):
     assert line.split()[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["alpha_min = -1", "alpha_max = inf",
+                                  "train_snr_db = nan", "train_snr_db = inf"])
+def test_train_invalid_value_exits_2(tmp_path, capsys, line):
+    cfg = _write(tmp_path, "t.cfg", TINY_TRAIN + line + "\n")
+    out = tmp_path / "m.zicmodel"
+    rc = main(["train", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert line.split()[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,text,extra", [
     ("train", TINY_TRAIN, []),
     ("eval", EVAL_CFG, ["--scheme", "baseline1"]),

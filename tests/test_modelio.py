@@ -36,7 +36,7 @@ def test_roundtrip_model_behaves_identically(tmp_path):
     loaded = load_model(path)
     rng = np.random.default_rng(3)
     bits = rng.integers(0, 2, size=(16, 2)).astype(float)
-    eq = EquivalentChannel(1 + 0j, 1 + 0j, 1 + 0j, 1.0, 0.1, 0.1)
+    eq = EquivalentChannel(1 + 0j, 1 + 0j, 1 + 0j, 0.1, 0.1)
     knows = CsiInputs(1.0, 1.0, 1.0, theta_delta=0.05)
     p_ref = model.forward(bits, bits, eq, knows, 0.1, rng=None)
     p_new = loaded.forward(bits, bits, eq, knows, 0.1, rng=None)
