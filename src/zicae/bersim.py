@@ -130,7 +130,8 @@ def _per_draw(sa_tx, build) -> tuple[Constellation, Constellation]:
     """The constellation pair ``build(v)`` gives for each draw's fed-back ``sa_tx``.
 
     ``build`` runs once per distinct value; for K draws the points are
-    gathered to shape (K, M).
+    gathered to shape (K, M), unless every draw gets the same constellation
+    object, which stays as it is.
     """
     if np.ndim(sa_tx) == 0:
         return build(float(sa_tx))
@@ -138,6 +139,8 @@ def _per_draw(sa_tx, build) -> tuple[Constellation, Constellation]:
     built = [build(float(v)) for v in values]
 
     def stack(cs):
+        if all(c is cs[0] for c in cs):
+            return cs[0]
         points = np.stack([c.points for c in cs])[inverse]
         return Constellation(points, cs[0].n_bits, float(np.mean(np.abs(points) ** 2)))
 

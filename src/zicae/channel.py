@@ -393,15 +393,15 @@ def apply_channel(eq: EquivalentChannel, x1, x2, rng: np.random.Generator | None
     y1 = eq.hbar11 * x1 + eq.hbar21 * x2
     y2 = eq.hbar22 * x2
     if rng is not None:
-        y1 = y1 + _complex_noise(rng, eq.noise_var_rx1, x1.shape)
-        y2 = y2 + _complex_noise(rng, eq.noise_var_rx2, x2.shape)
+        y1 += _complex_noise(rng, eq.noise_var_rx1, x1.shape)
+        y2 += _complex_noise(rng, eq.noise_var_rx2, x2.shape)
     return y1, y2
 
 
 def _complex_noise(rng: np.random.Generator, var, shape):
-    scale = np.sqrt(np.maximum(var, 0.0) / 2.0)
     z = rng.standard_normal((*shape, 2)).view(complex)[..., 0]  # z[..., 0] + 1j*z[..., 1]
-    return scale * z
+    z *= np.sqrt(np.maximum(var, 0.0) / 2.0)
+    return z
 
 
 def _take(obj, rows):

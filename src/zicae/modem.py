@@ -3,8 +3,11 @@
 Constellations are ordered point lists indexed by the bit pattern read as a
 binary number (bits[0] is the MSB); Gray labeling is baked into the point
 order.  Detection at the interfered receiver is joint maximum likelihood over
-both users' symbols, reporting only the desired user's bits.  All detectors
-break exact ties toward the lowest hypothesis index.
+both users' symbols, reporting only the desired user's bits.  Detectors slice
+a scaled, rotated :func:`standard_qam` grid per axis (other alphabets raise
+ValueError): one slice per Tx2 symbol at Rx1, one at Rx2.  Within 1e-9 of a
+decision boundary the full search decides, so exact ties go to the lowest
+hypothesis index.
 
 A constellation may hold one alphabet per channel draw: points of shape
 ``(..., M)`` whose leading axes broadcast against the received samples, for
@@ -15,6 +18,7 @@ detection then use each draw's own alphabet.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,24 +129,59 @@ def best_rotation(c1: Constellation, c2: Constellation, sqrt_alpha: float,
     return best_theta
 
 
-def _nearest(y, points: np.ndarray) -> np.ndarray:
-    """Index of the point nearest to each sample, the lowest index on exact ties.
+@functools.cache
+def _qam_tables(n_bits: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Points, labels by ascending (in-phase, quadrature) level, bits by label."""
+    pts = standard_qam(n_bits).points
+    return pts, np.lexsort((pts.imag, pts.real)), index_to_bits(np.arange(pts.size), n_bits)
 
-    A running minimum over the points: memory stays at the size of ``y``.
+
+def _slice(y, c: Constellation, shift=0.0):
+    """The point of ``c`` nearest to each sample of ``y - shift``, one axis at a time.
+
+    ``c`` must be ``standard_qam(c.n_bits)`` times one complex factor per
+    alphabet, else ValueError.  The samples are derotated by its phase
+    (unless 0), each axis folded onto its upper half and cut at the
+    midpoints between levels.
+    Returns the level position (i*L_q + q), squared distance, whether the
+    sample lies within 1e-9 of the level spacing of a midpoint (far above
+    rounding error), and the half level spacing.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=complex))
-    diff = y - points[..., 0]
-    best = np.abs(diff)
-    idx = np.zeros(best.shape, dtype=np.intp)
-    dist = np.empty_like(best)
-    closer = np.empty(best.shape, dtype=bool)
-    for k in range(1, points.shape[-1]):
-        np.subtract(y, points[..., k], out=diff)
-        np.abs(diff, out=dist)
-        np.less(dist, best, out=closer)
-        np.minimum(best, dist, out=best)
-        np.copyto(idx, k, where=closer)
-    return idx
+    std, order, _ = _qam_tables(c.n_bits)
+    n_q = 1 << (c.n_bits // 2)
+    ref = order[c.size // n_q // 2 * n_q + n_q // 2]  # the grid point 1+1j (1 for BPSK)
+    factor = c.points[..., ref] / std[ref]
+    if not (np.abs(c.points - factor[..., None] * std) < 1e-12 * np.abs(factor)[..., None]).all():
+        raise ValueError(f"not a scaled, rotated {c.size}-point Gray QAM grid: {c.points!r}")
+    turn, half = np.exp(-1j * np.angle(factor)), np.abs(factor) * std[ref].real
+    if (turn != 1).any():
+        y, shift = y * turn, shift * turn
+    pos, errs, unsure = np.min_scalar_type(-c.size).type(0), [], False
+    for part, n_levels in ((np.real, c.size // n_q), (np.imag, n_q)):
+        x = np.ascontiguousarray(part(y)) - part(shift)  # a new array, overwritten below
+        if n_levels > 1:  # else the one level is 0
+            upper = x > 0
+            np.abs(x, out=x)
+            unsure = unsure | (x < 1e-9 * half)
+            x -= half
+            out = np.int8(0)  # steps out from the innermost level
+            for _ in range(n_levels // 2 - 1):
+                low, high = x > half * (1 - 1e-9), x > half * (1 + 1e-9)
+                unsure = unsure | (low != high)
+                np.subtract(x, 2 * half, out=x, where=low)
+                out = out + low
+            level = upper if n_levels == 2 else n_levels // 2 - 1 - out + upper * (2 * out + 1)
+            pos = pos * n_levels + level
+        errs.append(np.square(x, out=x))
+    errs[0] += errs[1]
+    return pos, errs[0], unsure, half
+
+
+def _full_search(y, points: np.ndarray, where: np.ndarray) -> np.ndarray:
+    """Index of the point nearest to each sample at ``where``, the lowest on exact ties."""
+    y = np.broadcast_to(y, where.shape)[where]
+    points = np.broadcast_to(points, where.shape + points.shape[-1:])[where]
+    return np.argmin(np.abs(y[:, None] - points), axis=1)
 
 
 def detect_rx1(y, c1: Constellation, c2: Constellation, hbar21) -> np.ndarray:
@@ -152,22 +191,39 @@ def detect_rx1(y, c1: Constellation, c2: Constellation, hbar21) -> np.ndarray:
     bits of the winning p1 (the interference hypothesis is discarded).
     ``y`` may be a scalar or an array; ``hbar21`` and the constellations may
     hold one value per draw, broadcasting against ``y``.  The last output
-    axis holds the detected bits.
+    axis holds the detected bits.  Each of Tx2's symbols is one hypothesis,
+    under which ``y - hbar21*p2`` is sliced against ``c1``.
     """
-    idx1 = _nearest(y, composite_points(c1, c2, hbar21)) // c2.size
-    return index_to_bits(idx1, c1.n_bits)
+    y = np.atleast_1d(np.asarray(y, dtype=complex))
+    cross = np.moveaxis(np.asarray(hbar21)[..., None] * c2.points, -1, 0)  # (M2, ...)
+    cross = cross.reshape(cross.shape[:1] + (1,) * (y.ndim + 1 - cross.ndim) + cross.shape[1:])
+    pos, dist2, unsure, half = _slice(y, c1, cross)
+    best = dist2.min(axis=0)
+    near = dist2 <= best + 1e-9 * (best + half * half)  # two nearest pairs are unsure too
+    unsure = unsure.any(axis=0) | (near.sum(axis=0, dtype=np.min_scalar_type(c2.size)) > 1)
+    _, order, bits = _qam_tables(c1.n_bits)
+    label = order.take((pos * near).max(axis=0))
+    if unsure.any():
+        label[unsure] = _full_search(y, composite_points(c1, c2, hbar21), unsure) // c2.size
+    return bits.take(label, axis=0)
 
 
 def detect_rx2(y, c2: Constellation) -> np.ndarray:
-    """Nearest-neighbor detection against the points of ``c2``."""
-    return index_to_bits(_nearest(y, c2.points), c2.n_bits)
+    """Nearest-neighbor detection against the points of ``c2``, by one slice per sample."""
+    y = np.atleast_1d(np.asarray(y, dtype=complex))
+    pos, _, unsure, _ = _slice(y, c2)
+    _, order, bits = _qam_tables(c2.n_bits)
+    label = order.take(pos)
+    if unsure.any():
+        label[unsure] = _full_search(y, c2.points, unsure)
+    return bits.take(label, axis=0)
 
 
 def modulate(c: Constellation, bits) -> np.ndarray:
     """Bit rows -> symbols of the constellation (of each draw's alphabet, if per draw)."""
     idx = bits_to_index(bits)
     if c.points.ndim == 1:
-        return c.points[idx]
+        return c.points.take(idx)
     return np.take_along_axis(c.points, idx[..., None], axis=-1)[..., 0]
 
 

@@ -2,7 +2,8 @@
 
 Fast, deterministic checks of the load-bearing contracts: quantizer geometry,
 power constraints, end-to-end gradients against finite differences, the
-original-vs-equivalent channel model identity, and training determinism.
+original-vs-equivalent channel model identity, QAM detection against the full
+search, and training determinism.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import cmath
 
 import numpy as np
 
-from . import nn
+from . import modem, nn
 from .autoencoder import TrainConfig, ZicAutoencoder, train
 from .channel import (
     THETA_RANGE,
@@ -82,6 +83,22 @@ def _check_model_equivalence() -> None:
         assert abs(z1 - y1) < 1e-10 and abs(z2 - y2) < 1e-10, "models disagree"
 
 
+def _check_qam_detection() -> None:
+    rng = np.random.default_rng(13)
+    for n_bits in (2, 4):
+        c1 = modem.standard_qam(n_bits)
+        for theta, cross in ((0.0, 1.0), (0.4, 0.8 * cmath.exp(0.3j))):  # ties at alpha 1
+            c2 = modem.rotate(c1, theta)
+            y = rng.normal(size=2000) + 1j * rng.normal(size=2000)
+            y[:c1.size ** 2] = modem.composite_points(c1, c2, cross)
+            i1 = np.argmin(np.abs(y[:, None] - modem.composite_points(c1, c2, cross)), axis=1)
+            i2 = np.argmin(np.abs(y[:, None] - c2.points), axis=1)
+            assert np.array_equal(modem.detect_rx1(y, c1, c2, cross),
+                                  modem.index_to_bits(i1 // c2.size, n_bits)), "Rx1 differs"
+            assert np.array_equal(modem.detect_rx2(y, c2),
+                                  modem.index_to_bits(i2, n_bits)), "Rx2 differs"
+
+
 def _check_determinism() -> None:
     cfg = TrainConfig(n_channels=3, epochs_per_channel=2, batch=64,
                       hidden_width=8, subnet2_width=4, alpha_min=0.9,
@@ -104,6 +121,7 @@ CHECKS = [
     ("transmitter average power constraint", _check_power_constraint),
     ("end-to-end gradients vs finite differences", _check_gradients),
     ("original vs equivalent channel model", _check_model_equivalence),
+    ("QAM joint-ML detection equals brute force", _check_qam_detection),
     ("training determinism", _check_determinism),
     ("optimizer first-step magnitude", _check_adam_first_step),
 ]

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from zicae import modem
 from zicae.modem import (
     Constellation,
     best_rotation,
@@ -220,3 +221,48 @@ def test_modulate_per_draw_constellation():
     assert x.shape == (3, 10)
     for d, scale in enumerate((1, -1, 1j)):
         assert np.array_equal(x[d], scale * modulate(c, bits[d]))
+
+
+@pytest.mark.parametrize("c1_per_draw", [False, True], ids=["common-c1", "rotated-c1-per-draw"])
+@pytest.mark.parametrize("n_bits", [2, 3, 4])
+def test_sliced_detection_equals_the_full_search(n_bits, c1_per_draw):
+    rng = np.random.default_rng(20 + n_bits)
+    k, m = 6, 1 << n_bits
+    thetas = np.concatenate([[0.0, 0.0], rng.uniform(0.0, np.pi / 2, k - 2)])
+    crosses = np.concatenate([[1.0, 0.0], rng.uniform(0.2, 2.0, k - 2)
+                              * np.exp(1j * rng.uniform(-np.pi, np.pi, k - 2))])
+    c1 = standard_qam(n_bits, 1.0)
+    points1 = np.stack([rotate(c1, t / 3).points * 1.2 for t in thetas]) if c1_per_draw else (
+        np.broadcast_to(c1.points, (k, m)))
+    points2 = np.stack([rotate(standard_qam(n_bits, 0.7), t).points for t in thetas])
+    y = rng.normal(size=(k, 3 * m * m + 300)) + 1j * rng.normal(size=(k, 3 * m * m + 300))
+    # exact ties: noiseless composite points (draw 0 has alpha 1 and no
+    # rotation, so pairs coincide), the origin, and the midpoints between
+    # any two points of either alphabet
+    y[:, :m * m] = (points1[:, :, None] + crosses[:, None, None] * points2[:, None, :]
+                    ).reshape(k, -1)
+    y[:, m * m] = 0.0
+    y[:, m * m + 1:2 * m * m + 1] = ((points1[:, :, None] + points1[:, None, :]) / 2).reshape(k, -1)
+    y[:, 2 * m * m + 1:3 * m * m + 1] = ((points2[:, :, None] + points2[:, None, :]) / 2
+                                         ).reshape(k, -1)
+    c1s = Constellation(points1[:, None, :], n_bits, 1.0) if c1_per_draw else c1
+    c2s = Constellation(points2[:, None, :], n_bits, 0.7)
+    hat1 = detect_rx1(y, c1s, c2s, crosses[:, None])
+    hat2 = detect_rx2(y, c2s)
+    for d in range(k):
+        ref1, ref2 = _argmin_reference(y[d], Constellation(points1[d], n_bits, 1.0),
+                                       Constellation(points2[d], n_bits, 0.7), crosses[d])
+        assert np.array_equal(hat1[d], ref1) and np.array_equal(hat2[d], ref2)
+    # the noisy samples are sliced, not searched
+    assert not modem._slice(y[:, 3 * m * m + 1:], c2s)[2].any()
+
+
+def test_detectors_refuse_alphabets_off_the_qam_grid():
+    c = standard_qam(2, 1.0)
+    y = np.zeros(3, dtype=complex)
+    other = Constellation(np.array([1.0, 1j, -1.0, -0.5j]), 2, 1.0)
+    with pytest.raises(ValueError, match="Gray QAM grid"):
+        detect_rx2(y, other)
+    relabeled = Constellation(c.points[[1, 0, 2, 3]], 2, 1.0)  # a grid, but not Gray-mapped
+    with pytest.raises(ValueError, match="Gray QAM grid"):
+        detect_rx1(y, relabeled, c, 0.5)
