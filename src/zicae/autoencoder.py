@@ -310,16 +310,6 @@ class ZicAutoencoder:
         return (self.tx1.grads() + self.tx2.grads()
                 + self.rx1.grads() + self.rx2.grads())
 
-    def arch_descriptor(self) -> str:
-        """Canonical architecture string (hashed into model files)."""
-        a, f = self.arch, self.arch.flags
-        return ("zicae-v1"
-                f"|bits={a.n_bits}|mode={a.csi_mode}"
-                f"|hw={a.hidden_width}|res={a.n_res_blocks}|sw={a.subnet2_width}"
-                f"|short={int(f.use_shortcuts)}|a1={int(f.alpha_to_subnet1)}"
-                f"|a2={int(f.alpha_to_subnet2)}|arx={int(f.alpha_to_rx)}"
-                f"|sn2={int(f.use_subnet2)}")
-
     # -- frozen-model use --------------------------------------------------
 
     def covers(self, alpha: float) -> bool:

@@ -153,6 +153,7 @@ class ChannelConfig:
             raise ValueError(f"unknown csi_mode {self.csi_mode!r}")
         for name, ok, rule in (("n_bits", self.n_bits >= 1, ">= 1"),
                                ("total_power", self.total_power > 0, "> 0"),
+                               ("seed", self.seed >= 0, ">= 0"),
                                ("sigma_h2", self.sigma_h2 >= 0, ">= 0"),
                                ("n_q", self.n_q >= 1, ">= 1"),
                                ("sigma_e2", self.sigma_e2 >= 0, ">= 0"),

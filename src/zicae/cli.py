@@ -165,9 +165,11 @@ def _build_scheme(args, cfg: EvalConfig):
         return bersim.Baseline2(cfg.n_bits, cfg.total_power), []
     models, paths = _load_models(args)
     for model, path in zip(models, paths):
-        if model.arch.csi_mode != cfg.csi_mode:
-            raise ConfigError(f"{path}: model was trained for {model.arch.csi_mode} CSI "
-                              f"but the evaluation requests {cfg.csi_mode}")
+        for key in ("csi_mode", "n_bits", "total_power"):
+            trained, wanted = getattr(model.arch, key), getattr(cfg, key)
+            if trained != wanted:
+                raise ConfigError(f"{path}: model was trained with {key}={trained} "
+                                  f"but the evaluation requests {key}={wanted}")
     scheme = bersim.DaeScheme(models)
     for alpha in cfg.alpha_grid:
         scheme.route(alpha)  # fail fast, naming the uncovered interval

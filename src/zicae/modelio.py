@@ -1,14 +1,17 @@
-"""Model file format: versioned text header plus a flat float64 payload.
+"""Model file format v2: a content digest, a text header and a flat float64 payload.
 
 Layout::
 
-    ZICAE-MODEL v1\n
-    key=value lines (architecture hash, config digest, metadata)\n
+    ZICAE-MODEL v2\n
+    sha256=<hex digest of every byte after this line>\n
+    key=value lines (training-config digest, architecture fields)\n
     array=<name>:<d0>x<d1> lines, one per parameter/state array\n
     DATA\n
     <row-major little-endian float64 values, concatenated in array order>
 
-Writing the same trained model twice produces byte-identical files.
+The digest covers the whole header and payload, so no edited value or
+flipped byte loads.  Writing the same trained model twice produces
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .autoencoder import ARCH_FIELDS, Receiver, TrainConfig, Transmitter, ZicAutoencoder
 
-MAGIC = "ZICAE-MODEL v1"
+MAGIC = "ZICAE-MODEL v2"
 
 
 def _dense_layers(stack) -> list:
@@ -68,43 +71,45 @@ def _sha256(data: bytes) -> str:
 
 def save_model(path, model: ZicAutoencoder, cfg: TrainConfig) -> None:
     arrays = model_arrays(model)
-    header = [MAGIC,
-              f"arch_sha256={_sha256(model.arch_descriptor().encode())}",
-              f"config_sha256={_sha256(config_text(cfg).encode())}"]
+    header = [f"config_sha256={_sha256(config_text(cfg).encode())}"]
     header += [f"{key}={text}" for key, text in model.arch.config_items(ARCH_FIELDS)]
-    header.append(f"arrays={len(arrays)}")
-    for name, arr in arrays:
-        shape = "x".join(str(d) for d in np.atleast_1d(arr).shape)
-        header.append(f"array={name}:{shape}")
+    header += [f"array={name}:" + "x".join(map(str, np.atleast_1d(arr).shape))
+               for name, arr in arrays]
     header.append("DATA")
-    blob = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in arrays)
+    body = "\n".join(header).encode() + b"\n" + b"".join(
+        np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in arrays)
     with open(path, "wb") as fh:
-        fh.write("\n".join(header).encode() + b"\n")
-        fh.write(blob)
+        fh.write(f"{MAGIC}\nsha256={_sha256(body)}\n".encode())
+        fh.write(body)
 
 
 def load_model(path) -> ZicAutoencoder:
     """Rebuild a saved model; any deviation from the saved layout raises ValueError.
 
-    The header must hold each expected key once, an ``arch_sha256`` matching
-    the rebuilt architecture, and exactly the rebuilt model's arrays, in
-    order and with their shapes, followed by a payload of exactly their size.
+    The digest must match before anything is parsed.  Since a file with a valid
+    digest may still come from another writer, the header must then hold each
+    expected key once and exactly the rebuilt model's arrays, in order and with
+    their shapes, followed by a payload of exactly their size.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    sep = raw.find(b"\nDATA\n")
-    if not raw.startswith(MAGIC.encode() + b"\n") or sep < 0:
-        raise ValueError(f"{path}: not a model file")
     try:
-        return _read_model(raw[:sep].decode().split("\n")[1:], raw[sep + len(b"\nDATA\n"):])
+        return _read_model(raw)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _read_model(head: list[str], blob: bytes) -> ZicAutoencoder:
+def _read_model(raw: bytes) -> ZicAutoencoder:
+    magic, _, rest = raw.partition(b"\n")
+    if magic != MAGIC.encode():
+        raise ValueError("not a model file")
+    digest, _, body = rest.partition(b"\n")
+    if digest != f"sha256={_sha256(body)}".encode():
+        raise ValueError("sha256 does not match the file's content")
+    head, _, blob = body.partition(b"\nDATA\n")
     meta: dict[str, str] = {}
     shapes: list[tuple[str, tuple[int, ...]]] = []
-    for line in head:
+    for line in head.decode().split("\n"):
         key, eq, value = line.partition("=")
         if not eq:
             raise ValueError(f"bad header line {line!r}")
@@ -115,19 +120,14 @@ def _read_model(head: list[str], blob: bytes) -> ZicAutoencoder:
             raise ValueError(f"header key {key!r} repeated")
         else:
             meta[key] = value
-    expected = {"arch_sha256", "config_sha256", "arrays",
-                *(key for key, _ in TrainConfig().config_items(ARCH_FIELDS))}
+    expected = {"config_sha256", *(key for key, _ in TrainConfig().config_items(ARCH_FIELDS))}
     if set(meta) != expected:
         raise ValueError(f"missing header keys {sorted(expected - set(meta))}, "
                          f"unknown header keys {sorted(set(meta) - expected)}")
 
     model = ZicAutoencoder(TrainConfig.from_config(meta), np.random.default_rng(0))
-    if meta["arch_sha256"] != _sha256(model.arch_descriptor().encode()):
-        raise ValueError("arch_sha256 does not match the architecture in the header")
     arrays = model_arrays(model)
     layout = [(name, np.atleast_1d(arr).shape) for name, arr in arrays]
-    if meta["arrays"] != str(len(layout)):
-        raise ValueError(f"arrays={meta['arrays']}, the architecture has {len(layout)}")
     for i, (got, want) in enumerate(zip_longest(shapes, layout)):
         if got != want:
             raise ValueError(f"array entry {i} is {got}, the architecture needs {want}")

@@ -51,9 +51,10 @@ def index_to_bits(index, n_bits: int) -> np.ndarray:
 def bits_to_index(bits) -> np.ndarray:
     """Bit rows (MSB first) -> integer label(s)."""
     bits = np.asarray(bits, dtype=int)
-    n_bits = bits.shape[-1]
-    weights = 1 << np.arange(n_bits - 1, -1, -1)
-    return bits @ weights
+    index = 0
+    for k in range(bits.shape[-1]):
+        index = (index << 1) | bits[..., k]
+    return index
 
 
 def _gray_pam_levels(n_levels: int) -> tuple[np.ndarray, np.ndarray]:
@@ -224,7 +225,9 @@ def modulate(c: Constellation, bits) -> np.ndarray:
     idx = bits_to_index(bits)
     if c.points.ndim == 1:
         return c.points.take(idx)
-    return np.take_along_axis(c.points, idx[..., None], axis=-1)[..., 0]
+    lead = c.points.shape[:-1]
+    rows = np.arange(np.prod(lead, dtype=int)).reshape(lead) * c.size
+    return c.points.reshape(-1).take(rows + idx)
 
 
 def constellation_rows(c: Constellation) -> list[tuple[str, float, float]]:

@@ -147,6 +147,24 @@ def test_eval_dae_csi_mode_mismatch_rejected(tmp_path, capsys):
     assert "perfect" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,trained", [("n_bits = 3", "n_bits=2"),
+                                          ("total_power = 4.0", "total_power=1.0")],
+                         ids=["n_bits", "total_power"])
+def test_eval_dae_symbol_setting_mismatch_rejected(tmp_path, capsys, line, trained):
+    train_cfg = _write(tmp_path, "t.cfg", TINY_TRAIN)  # n_bits 2, total_power 1
+    model = tmp_path / "m.zicmodel"
+    assert main(["train", "--config", str(train_cfg), "--out", str(model)]) == 0
+    eval_cfg = _write(tmp_path, "e.cfg",
+                      EVAL_CFG.replace("alpha_grid = 0, 0.5, 1", "alpha_grid = 1.0") + line)
+    out = tmp_path / "r.csv"
+    rc = main(["eval", "--config", str(eval_cfg), "--scheme", "dae",
+               "--model", str(model), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "m.zicmodel" in err and trained in err and line.replace(" = ", "=") in err
+    assert not out.exists()
+
+
 def test_eval_dae_with_model_dir(tmp_path):
     train_cfg = _write(tmp_path, "t.cfg", TINY_TRAIN)
     model_dir = tmp_path / "models"
@@ -267,7 +285,8 @@ def test_unusable_estimation_setting_fails_fast(tmp_path, capsys, command, text,
                                   "n_q = 0", "sigma_e2 = -0.1", "threshold_t = 0",
                                   "csi_mode = psychic", "n_symbols_per_point = -5",
                                   "alpha_grid = -1", "alpha_grid = 0.5, inf",
-                                  "snr_grid_db = 10, nan", "snr_grid_db = -inf"])
+                                  "snr_grid_db = 10, nan", "snr_grid_db = -inf",
+                                  "seed = -2"])
 def test_eval_invalid_channel_value_exits_2(tmp_path, capsys, line):
     cfg = _write(tmp_path, "e.cfg", EVAL_CFG + line + "\n")
     rc = main(["eval", "--config", str(cfg), "--scheme", "baseline1",
@@ -284,6 +303,19 @@ def test_train_invalid_value_exits_2(tmp_path, capsys, line):
     rc = main(["train", "--config", str(cfg), "--out", str(out)])
     assert rc == 2
     assert line.split()[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,text,extra", [
+    ("train", TINY_TRAIN, []),
+    ("eval", EVAL_CFG, ["--scheme", "baseline1"]),
+], ids=["train", "eval"])
+def test_negative_seed_flag_exits_2(tmp_path, capsys, command, text, extra):
+    cfg = _write(tmp_path, "c.cfg", text)
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), *extra, "--seed", "-1", "--out", str(out)])
+    assert rc == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -99,15 +99,15 @@ GOLDEN = {
     "eval-baseline2-perfect.csv":
         "16906be5790b70380078af68a762f3c4be976db301426dc1a6bced25fb014582",
     "eval-dae-imperfect.csv":
-        "5c4afd167ffaaf28906178fee63af5875d3c1252cfd924ec53b95d69d4642d55",
+        "3015605f453bd89f1badc1ac687be5f1094c30abd80a30b1bfed071050690f19",
     "eval-dae-perfect.csv":
-        "a7979196710682af12fd8617fc7a13a4bb176856c591815fbd62adfade596a86",
+        "7c6eae668c1d2d5f6c971881fade1677e3dec8145fe308e1864f5135f1115c47",
     "imperfect.zicmodel":
-        "8d6a8b1920935ab9895c59ce3a3b0a9065a751ea0263ff7b6e35985dfe149a4c",
+        "d1b859022cbe4fd431a0e9e0b1866dd778d3386eea6c24facc0bdfe97e15296a",
     "imperfect.zicmodel.train.csv":
         "e1f41ffa8035e780c95f8cee04d0564b2a33f891bced30d98b086b47d8264726",
     "perfect.zicmodel":
-        "7439c667f6e46dbeeb42c7c228eb91f8e579b855a3ae68770ef1b593512087a8",
+        "8faffa46e786d5cd9e8df7f3e2eb8160a80fa852c79eaf13514186d26194709b",
     "perfect.zicmodel.train.csv":
         "38f734229ac9fcef074abb7b43151b51bca94b71aeacd76809c6e3c3a676547d",
 }
