@@ -22,7 +22,7 @@ both transmitters through the cross link.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,17 +43,6 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass(frozen=True)
-class AblationFlags:
-    """Architecture toggles; all-true is the proposed configuration."""
-
-    use_shortcuts: bool = True
-    alpha_to_subnet1: bool = True
-    alpha_to_subnet2: bool = True
-    alpha_to_rx: bool = True
-    use_subnet2: bool = True
-
-
-@dataclass(frozen=True)
 class TrainConfig(ChannelConfig):
     """Hyperparameters of one training run (defaults follow the full-scale recipe)."""
 
@@ -69,7 +58,12 @@ class TrainConfig(ChannelConfig):
     hidden_width: int = 64
     n_res_blocks: int = 2
     subnet2_width: int = 16
-    flags: AblationFlags = field(default_factory=AblationFlags)
+    # architecture toggles of the ablation study; all true is the proposed design
+    use_shortcuts: bool = True
+    alpha_to_subnet1: bool = True
+    alpha_to_subnet2: bool = True
+    alpha_to_rx: bool = True
+    use_subnet2: bool = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -90,7 +84,9 @@ class TrainConfig(ChannelConfig):
 
 # the TrainConfig fields a model is built from, in model-file header order
 ARCH_FIELDS = ("n_bits", "csi_mode", "alpha_min", "alpha_max", "total_power",
-               "train_snr_db", "hidden_width", "n_res_blocks", "subnet2_width", "flags")
+               "train_snr_db", "hidden_width", "n_res_blocks", "subnet2_width",
+               "use_shortcuts", "alpha_to_subnet1", "alpha_to_subnet2", "alpha_to_rx",
+               "use_subnet2")
 
 
 def receiver_scale(p_desired, noise_var: float):
@@ -122,18 +118,16 @@ class Transmitter:
     """
 
     def __init__(self, cfg: TrainConfig, rng: np.random.Generator):
-        self.n_bits = cfg.n_bits
-        self.flags = flags = cfg.flags
-        self.total_power = cfg.total_power
+        self.arch = cfg
         width = cfg.hidden_width
-        n_in = cfg.n_bits + (1 if flags.alpha_to_subnet1 else 0)
+        n_in = cfg.n_bits + (1 if cfg.alpha_to_subnet1 else 0)
         self.net1 = [nn.Dense(n_in, width, nn.TANH, rng)]
         for _ in range(cfg.n_res_blocks):
             block = nn.Dense(width, width, nn.TANH, rng)
-            self.net1.append(nn.Residual(block) if flags.use_shortcuts else block)
+            self.net1.append(nn.Residual(block) if cfg.use_shortcuts else block)
         self.net1.append(nn.Dense(width, 2, nn.LINEAR, rng))
         self.bpn = nn.BatchPowerNorm(2)
-        if flags.use_subnet2:
+        if cfg.use_subnet2:
             self.net2 = [nn.Dense(1, cfg.subnet2_width, nn.TANH, rng),
                          nn.Dense(cfg.subnet2_width, 2, nn.LINEAR, rng)]
             self.pnorm = nn.PowerNorm(cfg.total_power)
@@ -144,21 +138,22 @@ class Transmitter:
         self._cache = None
 
     def forward(self, bits: np.ndarray, sqrt_alpha: float, training: bool) -> np.ndarray:
-        idx = pattern_index(bits, self.n_bits)
+        arch = self.arch
+        idx = pattern_index(bits, arch.n_bits)
         x = self.patterns
-        if self.flags.alpha_to_subnet1:
+        if arch.alpha_to_subnet1:
             x = np.concatenate([x, np.full((x.shape[0], 1), sqrt_alpha)], axis=1)
         for layer in self.net1:
             x = layer.forward(x)
         xb = self.bpn.forward(x[idx], training)
-        if self.flags.use_subnet2:
-            a2 = np.array([[sqrt_alpha if self.flags.alpha_to_subnet2 else 1.0]])
+        if arch.use_subnet2:
+            a2 = np.array([[sqrt_alpha if arch.alpha_to_subnet2 else 1.0]])
             g = a2
             for layer in self.net2:
                 g = layer.forward(g)
             gamma = self.pnorm.forward(g)
         else:
-            gamma = np.full((1, 2), math.sqrt(self.total_power / 2.0))
+            gamma = np.full((1, 2), math.sqrt(arch.total_power / 2.0))
         self._cache = (idx, xb, gamma)
         return xb * gamma
 
@@ -169,7 +164,7 @@ class Transmitter:
 
     def backward(self, grad_x: np.ndarray) -> None:
         idx, xb, gamma = nn.take_cache(self)
-        if self.flags.use_subnet2:
+        if self.arch.use_subnet2:
             g_gamma = np.sum(grad_x * xb, axis=0, keepdims=True)
             g = self.pnorm.backward(g_gamma)
             for layer in reversed(self.net2):
@@ -209,7 +204,7 @@ class Receiver:
         self.net = [nn.Dense(2 + n_extras, width, nn.TANH, rng)]
         for _ in range(cfg.n_res_blocks):
             block = nn.Dense(width, width, nn.TANH, rng)
-            self.net.append(nn.Residual(block) if cfg.flags.use_shortcuts else block)
+            self.net.append(nn.Residual(block) if cfg.use_shortcuts else block)
         self.net.append(nn.Dense(width, cfg.n_bits, nn.SIGMOID, rng))
         self._cache = None
 
@@ -248,7 +243,7 @@ class ZicAutoencoder:
         self.arch = arch = replace(TrainConfig(), **{n: getattr(cfg, n) for n in ARCH_FIELDS})
         self.tx1 = Transmitter(arch, rng)
         self.tx2 = Transmitter(arch, rng)
-        to_rx = 1 if arch.flags.alpha_to_rx else 0
+        to_rx = 1 if arch.alpha_to_rx else 0
         self.rx1 = Receiver(arch, to_rx + (1 if arch.csi_mode == IMPERFECT else 0), rng)
         self.rx2 = Receiver(arch, to_rx, rng)
         self._cache = None
@@ -262,12 +257,12 @@ class ZicAutoencoder:
         Every field of ``knows`` is a scalar or one value per row.
         """
         arch = self.arch
-        extras1 = [knows.sa_rx1] if arch.flags.alpha_to_rx else []
+        extras1 = [knows.sa_rx1] if arch.alpha_to_rx else []
         if arch.csi_mode == IMPERFECT:
             if knows.theta_delta is None:
                 raise ValueError("imperfect mode needs theta_delta")
             extras1.append(knows.theta_delta)
-        extras2 = [knows.sa_rx2] if arch.flags.alpha_to_rx else []
+        extras2 = [knows.sa_rx2] if arch.alpha_to_rx else []
         eta1 = receiver_scale((1.0 + knows.sa_rx1**2) * arch.total_power, noise_var)
         eta2 = receiver_scale(arch.total_power, noise_var)
         return (self.rx1.forward(y1, extras1, eta1, training),
@@ -275,23 +270,22 @@ class ZicAutoencoder:
 
     def forward(self, bits1: np.ndarray, bits2: np.ndarray, eq: EquivalentChannel,
                 knows: CsiInputs, noise_var: float,
-                rng: np.random.Generator | None, training: bool = True
-                ) -> tuple[np.ndarray, np.ndarray]:
-        """Full system pass; returns the two receivers' bit probabilities.
+                rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
+        """Training-mode system pass; returns the two receivers' bit probabilities.
 
         ``noise_var`` is the nominal (pre-normalization) noise power used for
         the desired-signal scaling; the actual injected noise follows the
         per-receiver variances of ``eq``.  ``rng=None`` disables noise.
         """
-        x1 = self.tx1.forward(bits1, knows.sa_tx, training)
-        x2 = self.tx2.forward(bits2, knows.sa_tx, training)
+        x1 = self.tx1.forward(bits1, knows.sa_tx, training=True)
+        x2 = self.tx2.forward(bits2, knows.sa_tx, training=True)
         H11 = _complex_matrix(eq.hbar11)
         H21 = _complex_matrix(eq.hbar21)
         H22 = _complex_matrix(eq.hbar22)
         y1 = nn.gaussian_noise(x1 @ H11.T + x2 @ H21.T, eq.noise_var_rx1 / 2.0, rng)
         y2 = nn.gaussian_noise(x2 @ H22.T, eq.noise_var_rx2 / 2.0, rng)
         self._cache = (H11, H21, H22)
-        return self._receive(y1, y2, knows, noise_var, training)
+        return self._receive(y1, y2, knows, noise_var, training=True)
 
     def backward(self, bits1: np.ndarray, bits2: np.ndarray,
                  p1: np.ndarray, p2: np.ndarray) -> None:
@@ -353,8 +347,7 @@ def encode_constellation(model: ZicAutoencoder, sqrt_alpha: float
     """Inference-mode symbol of every bit pattern of both frozen transmitters."""
     p1, p2 = model.tx1.points(sqrt_alpha), model.tx2.points(sqrt_alpha)
     n_bits = model.arch.n_bits
-    return (Constellation(p1, n_bits, float(np.mean(np.abs(p1) ** 2))),
-            Constellation(p2, n_bits, float(np.mean(np.abs(p2) ** 2))))
+    return Constellation(p1, n_bits), Constellation(p2, n_bits)
 
 
 def train(cfg: TrainConfig) -> tuple[ZicAutoencoder, list[dict]]:
@@ -394,12 +387,13 @@ def train(cfg: TrainConfig) -> tuple[ZicAutoencoder, list[dict]]:
     return model, log
 
 
-ABLATION_EXPERIMENTS: dict[str, AblationFlags] = {
-    "proposed": AblationFlags(),
-    "exp1": AblationFlags(use_shortcuts=False),
-    "exp2": AblationFlags(alpha_to_subnet1=False),
-    "exp3": AblationFlags(alpha_to_subnet2=False),
-    "exp4": AblationFlags(alpha_to_subnet1=False, alpha_to_subnet2=False),
-    "exp5": AblationFlags(alpha_to_rx=False),
-    "exp6": AblationFlags(alpha_to_subnet2=False, use_subnet2=False),
+# each experiment's overrides of the architecture toggles
+ABLATION_EXPERIMENTS: dict[str, dict[str, bool]] = {
+    "proposed": {},
+    "exp1": {"use_shortcuts": False},
+    "exp2": {"alpha_to_subnet1": False},
+    "exp3": {"alpha_to_subnet2": False},
+    "exp4": {"alpha_to_subnet1": False, "alpha_to_subnet2": False},
+    "exp5": {"alpha_to_rx": False},
+    "exp6": {"alpha_to_subnet2": False, "use_subnet2": False},
 }

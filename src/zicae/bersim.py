@@ -45,7 +45,7 @@ class EvalConfig(ChannelConfig):
     snr_grid_db: tuple = (10.0,)
     alpha_grid: tuple = (1.0,)
     n_channel_draws: int = 500
-    n_symbols_per_point: int | None = None  # None -> adaptive stopping
+    n_symbols_per_point: int = 0  # 0 -> adaptive stopping
     min_errors: int = 100
     max_bits: int = 10_000_000
 
@@ -55,9 +55,9 @@ class EvalConfig(ChannelConfig):
             raise ValueError("grids must be non-empty")
         if self.n_channel_draws < 1 or self.min_errors < 1 or self.max_bits < 1:
             raise ValueError("counts must be positive")
-        if self.n_symbols_per_point is not None and self.n_symbols_per_point < 1:
-            raise ValueError("n_symbols_per_point must be >= 1 (None, or 0 in a config file, "
-                             f"for adaptive), got {self.n_symbols_per_point!r}")
+        if self.n_symbols_per_point < 0:
+            raise ValueError("n_symbols_per_point must be >= 0 (0 for adaptive), "
+                             f"got {self.n_symbols_per_point!r}")
         if not all(math.isfinite(v) for v in self.snr_grid_db):
             raise ValueError(f"snr_grid_db must be finite, got {self.snr_grid_db!r}")
         if not all(math.isfinite(v) and v >= 0 for v in self.alpha_grid):
@@ -142,7 +142,7 @@ def _per_draw(sa_tx, build) -> tuple[Constellation, Constellation]:
         if all(c is cs[0] for c in cs):
             return cs[0]
         points = np.stack([c.points for c in cs])[inverse]
-        return Constellation(points, cs[0].n_bits, float(np.mean(np.abs(points) ** 2)))
+        return Constellation(points, cs[0].n_bits)
 
     return stack([b[0] for b in built]), stack([b[1] for b in built])
 
@@ -331,7 +331,7 @@ def evaluate_point(cfg: EvalConfig, scheme: Scheme, alpha: float, snr_db: float,
     repeat until at least ``min_errors`` worst-user errors or ``max_bits``
     bits per user, unless ``n_symbols_per_point`` pins the count per draw.
     """
-    if cfg.n_symbols_per_point is not None:
+    if cfg.n_symbols_per_point:
         chunk = cfg.n_symbols_per_point
     else:
         budget = min(200_000, max(2_000 * cfg.n_channel_draws, 50_000))
@@ -348,7 +348,7 @@ def evaluate_point(cfg: EvalConfig, scheme: Scheme, alpha: float, snr_db: float,
         err2 += e2
         bits_done += nb
         rnd += 1
-        if cfg.n_symbols_per_point is not None:
+        if cfg.n_symbols_per_point:
             break
         if max(err1, err2) >= cfg.min_errors or bits_done >= cfg.max_bits:
             break

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -82,26 +82,16 @@ class EquivalentChannel:
 _BOOL = {"1": True, "0": False, "true": True, "false": False, "yes": True, "no": False}
 
 
-def _default(f):
-    return f.default if f.default is not MISSING else f.default_factory()
-
-
 def _render(name: str, kind, value) -> list[tuple[str, str]]:
     """Config-file ``(key, text)`` pairs of one field; ``kind`` is its default.
 
-    A complex field is written as ``<name>_re``/``<name>_im``, a nested
-    dataclass as one key per field, a tuple as a comma list and an optional
-    count (default None) as 0 when unset.
+    A complex field is written as ``<name>_re``/``<name>_im``, a tuple as a
+    comma list and a bool as 0/1.
     """
     if isinstance(kind, complex):
         return [(f"{name}_re", repr(value.real)), (f"{name}_im", repr(value.imag))]
-    if is_dataclass(kind):
-        return [pair for f in fields(kind)
-                for pair in _render(f.name, _default(f), getattr(value, f.name))]
     if isinstance(kind, tuple):
         return [(name, ",".join(repr(v) for v in value))]
-    if kind is None:
-        return [(name, str(value or 0))]
     if isinstance(kind, bool):
         return [(name, str(int(value)))]
     return [(name, repr(value) if isinstance(value, float) else str(value))]
@@ -112,17 +102,12 @@ def _parse(name: str, kind, base, raw: dict[str, str]):
     if isinstance(kind, complex):
         return complex(_parse(f"{name}_re", 0.0, base.real, raw),
                        _parse(f"{name}_im", 0.0, base.imag, raw))
-    if is_dataclass(kind):
-        return replace(base, **{f.name: _parse(f.name, _default(f), getattr(base, f.name), raw)
-                                for f in fields(kind)})
     if name not in raw:
         return base
     text = raw[name]
     try:
         if isinstance(kind, tuple):
             return tuple(float(v) for v in text.split(",") if v.strip())
-        if kind is None:
-            return int(text) or None
         if isinstance(kind, bool):
             return _BOOL[text.lower()]
         return type(kind)(text)
@@ -170,9 +155,13 @@ class ChannelConfig:
 
     def config_items(self, names=None) -> list[tuple[str, str]]:
         """Config-file ``(key, text)`` pairs of the named fields (default: all), in order."""
-        kinds = {f.name: _default(f) for f in fields(self)}
+        kinds = {f.name: f.default for f in fields(self)}
         return [pair for name in (names or kinds)
                 for pair in _render(name, kinds[name], getattr(self, name))]
+
+    def config_text(self) -> str:
+        """Canonical ``key=value`` lines of every field: the text run ids and digests hash."""
+        return "".join(f"{key}={text}\n" for key, text in self.config_items())
 
     @classmethod
     def from_config(cls, raw: dict[str, str], base=None):
@@ -181,7 +170,7 @@ class ChannelConfig:
         ``base`` defaults to ``cls()``; keys of other configs are ignored.
         """
         base = cls() if base is None else base
-        return replace(base, **{f.name: _parse(f.name, _default(f), getattr(base, f.name), raw)
+        return replace(base, **{f.name: _parse(f.name, f.default, getattr(base, f.name), raw)
                                 for f in fields(cls)})
 
 
@@ -333,23 +322,15 @@ def make_feedback(est: EstimatedChannel, n_q: int) -> CsiInputs:
 
 
 def normalize_imperfect(est: EstimatedChannel, theta_delta: float,
-                        true_ch: ChannelRealization | None,
                         noise_var: float) -> EquivalentChannel:
     """Equivalent model when nodes equalize with estimated gains.
 
     Direct gains become 1 + eps_ii/hhat_ii, the cross gain
     (rhat21/rhat11)*e^{j*theta_delta} + eps21/hhat11, and noise variances
-    scale with the *estimated* direct gains.  ``true_ch``, when given, is
-    checked for consistency with the stored estimate.
+    scale with the *estimated* direct gains.
     """
     if abs(est.hhat11) == 0.0 or abs(est.hhat22) == 0.0:
         raise DegenerateChannelError("estimated direct gain is zero")
-    if true_ch is not None:
-        for hhat, eps, h in ((est.hhat11, est.eps11, true_ch.h11),
-                             (est.hhat21, est.eps21, true_ch.h21),
-                             (est.hhat22, est.eps22, true_ch.h22)):
-            if abs(hhat + eps - h) > 1e-9 * max(1.0, abs(h)):
-                raise ValueError("estimate is inconsistent with the true channel")
     mag_ratio = abs(est.hhat21) / abs(est.hhat11)
     hbar21 = mag_ratio * cmath.exp(1j * theta_delta) + est.eps21 / est.hhat11
     return EquivalentChannel(
@@ -361,9 +342,9 @@ def normalize_imperfect(est: EstimatedChannel, theta_delta: float,
     )
 
 
-def draw_accepted_estimate(cfg: ChannelConfig, alpha: float, rng: np.random.Generator
-                           ) -> tuple[ChannelRealization, EstimatedChannel]:
-    """Rejection-sample (channel, estimate) pairs until the keep rule passes.
+def draw_accepted_estimate(cfg: ChannelConfig, alpha: float,
+                           rng: np.random.Generator) -> EstimatedChannel:
+    """Rejection-sample channels and their estimates; return the first estimate kept.
 
     Raises :class:`RejectionLimitError` after ``MAX_ESTIMATE_ATTEMPTS`` tries.
     """
@@ -373,7 +354,7 @@ def draw_accepted_estimate(cfg: ChannelConfig, alpha: float, rng: np.random.Gene
         if abs(est.hhat11) == 0.0 or abs(est.hhat22) == 0.0:
             continue
         if accept_channel(est, cfg):
-            return ch, est
+            return est
     raise RejectionLimitError(
         f"no channel estimate passed the keep rule in {MAX_ESTIMATE_ATTEMPTS} attempts "
         f"(observed acceptance 0/{MAX_ESTIMATE_ATTEMPTS}) at sigma_e2={cfg.sigma_e2!r}, "
@@ -478,8 +459,8 @@ def channel_context(cfg: ChannelConfig, alpha: float, snr_db: float,
         eq = EquivalentChannel(1.0 + 0j, complex(sa), 1.0 + 0j,
                                nv / abs(ch.h11) ** 2, nv / abs(ch.h22) ** 2)
         return ChannelContext(eq, nv, alpha, CsiInputs(sa, sa, sa))
-    ch, est = draw_accepted_estimate(cfg, alpha, rng)
+    est = draw_accepted_estimate(cfg, alpha, rng)
     csi = make_feedback(est, cfg.n_q)
     if simulated_residual:
         csi = replace(csi, theta_delta=rng.uniform(-math.pi / 2**cfg.n_q, math.pi / 2**cfg.n_q))
-    return ChannelContext(normalize_imperfect(est, csi.theta_delta, ch, nv), nv, alpha, csi)
+    return ChannelContext(normalize_imperfect(est, csi.theta_delta, nv), nv, alpha, csi)

@@ -68,13 +68,6 @@ def config_from(cls, raw: dict, seed_override: int | None = None, base=None):
         raise ConfigError(str(exc)) from exc
 
 
-def eval_config_text(cfg: EvalConfig) -> str:
-    """Canonical rendering used for run ids and manifests."""
-    rows = [f"{f.name}={getattr(cfg, f.name)!r}"
-            for f in sorted(fields(cfg), key=lambda f: f.name)]
-    return "\n".join(rows) + "\n"
-
-
 def _run_id(*parts: str) -> str:
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
 
@@ -124,7 +117,7 @@ def cmd_train(args) -> int:
     log_path = Path(f"{out}.train.csv")
     _write_text(log_path, "\n".join(log_rows) + "\n")
 
-    config_text = modelio.config_text(cfg)
+    config_text = cfg.config_text()
     digest = hashlib.sha256(config_text.encode()).hexdigest()
     run_id = _run_id("train", config_text)
     write_manifest(Path(f"{out}.manifest.json"), "train", run_id,
@@ -188,10 +181,10 @@ def cmd_eval(args) -> int:
     result = bersim.sweep(cfg, scheme)
 
     model_hashes = {p: modelio.file_sha256(p) for p in model_paths}
-    run_id = _run_id("eval", args.scheme, eval_config_text(cfg),
-                     *sorted(model_hashes.values()))
+    config_text = cfg.config_text()
+    run_id = _run_id("eval", args.scheme, config_text, *sorted(model_hashes.values()))
     _write_text(args.out, bersim.result_to_csv(result, run_id))
-    digest = hashlib.sha256(eval_config_text(cfg).encode()).hexdigest()
+    digest = hashlib.sha256(config_text.encode()).hexdigest()
     inputs = {args.config: modelio.file_sha256(args.config), **model_hashes}
     write_manifest(Path(f"{args.out}.manifest.json"),
                    "eval", run_id, digest, cfg.seed, inputs,
@@ -224,11 +217,17 @@ ABLATION_ALPHAS = (0.5, 1.0, 1.5)
 # the evaluation keys an ablation config may set; the grid is fixed, and the
 # channel fields (CSI model included) are the training config's
 ABLATION_EVAL_KEYS = ("n_channel_draws", "n_symbols_per_point", "min_errors", "max_bits")
+# keys the ablation sets itself: every experiment's toggles, and the grid
+ABLATION_REFUSED_KEYS = frozenset({"snr_grid_db", "alpha_grid"}.union(
+    *ABLATION_EXPERIMENTS.values()))
 
 
 def cmd_ablation(args) -> int:
     started = _now()
     raw = parse_config_file(args.config)
+    for key in raw:
+        if key in ABLATION_REFUSED_KEYS:
+            raise ConfigError(f"{args.config}: ablation sets {key!r} itself; remove the key")
     base = config_from(TrainConfig, raw, args.seed)
     if base.alpha_min > min(ABLATION_ALPHAS) or base.alpha_max < max(ABLATION_ALPHAS):
         raise ConfigError(
@@ -242,9 +241,9 @@ def cmd_ablation(args) -> int:
                         **{f.name: getattr(base, f.name) for f in fields(ChannelConfig)}))
 
     table: dict[str, BerResult] = {}
-    for name, flags in ABLATION_EXPERIMENTS.items():
+    for name, overrides in ABLATION_EXPERIMENTS.items():
         log.info("ablation: training %s", name)
-        model, _ = train(replace(base, flags=flags))
+        model, _ = train(replace(base, **overrides))
         table[name] = bersim.sweep(eval_cfg, bersim.DaeScheme([model]))
 
     names = list(ABLATION_EXPERIMENTS)
@@ -254,10 +253,10 @@ def cmd_ablation(args) -> int:
         lines.append(f"{alpha!r}," + ",".join(cells))
     _write_text(args.out, "\n".join(lines) + "\n")
 
-    run_id = _run_id("ablation", modelio.config_text(base))
+    run_id = _run_id("ablation", base.config_text())
     write_manifest(Path(f"{args.out}.manifest.json"),
                    "ablation", run_id,
-                   hashlib.sha256(modelio.config_text(base).encode()).hexdigest(),
+                   hashlib.sha256(base.config_text().encode()).hexdigest(),
                    base.seed, {args.config: modelio.file_sha256(args.config)},
                    {args.out: modelio.file_sha256(args.out)}, started)
     return 0

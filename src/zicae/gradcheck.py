@@ -17,7 +17,7 @@ FD_STEP = 1e-5
 
 
 def _system_loss(model: ZicAutoencoder, bits1, bits2, eq, knows, noise_var) -> float:
-    p1, p2 = model.forward(bits1, bits2, eq, knows, noise_var, rng=None, training=True)
+    p1, p2 = model.forward(bits1, bits2, eq, knows, noise_var, rng=None)
     return nn.bce_loss(bits1, p1) + nn.bce_loss(bits2, p2)
 
 
@@ -42,7 +42,7 @@ def max_relative_gradient_error(seed: int = 0, batch: int = 16, n_bits: int = 2,
                       sa_rx2=float(np.sqrt(alpha)), theta_delta=theta)
     noise_var = cfg.noise_var(cfg.train_snr_db)
 
-    p1, p2 = model.forward(bits1, bits2, eq, knows, noise_var, rng=None, training=True)
+    p1, p2 = model.forward(bits1, bits2, eq, knows, noise_var, rng=None)
     model.backward(bits1, bits2, p1, p2)
     analytic = [g.copy() for g in model.grads()]
 

@@ -60,18 +60,13 @@ def model_arrays(model: ZicAutoencoder) -> list[tuple[str, np.ndarray]]:
             + _rx_arrays("rx1", model.rx1) + _rx_arrays("rx2", model.rx2))
 
 
-def config_text(cfg: TrainConfig) -> str:
-    """Canonical flat key=value rendering of a training config."""
-    return "".join(f"{key}={text}\n" for key, text in cfg.config_items())
-
-
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 def save_model(path, model: ZicAutoencoder, cfg: TrainConfig) -> None:
     arrays = model_arrays(model)
-    header = [f"config_sha256={_sha256(config_text(cfg).encode())}"]
+    header = [f"config_sha256={_sha256(cfg.config_text().encode())}"]
     header += [f"{key}={text}" for key, text in model.arch.config_items(ARCH_FIELDS)]
     header += [f"array={name}:" + "x".join(map(str, np.atleast_1d(arr).shape))
                for name, arr in arrays]

@@ -30,7 +30,6 @@ class Constellation:
 
     points: np.ndarray
     n_bits: int
-    avg_power: float
 
     def __post_init__(self):
         if self.points.shape[-1] != 1 << self.n_bits:
@@ -84,13 +83,12 @@ def standard_qam(n_bits: int, power: float = 1.0) -> Constellation:
             points[label] = levels_i[ki] + 1j * levels_q[kq]
     norm = np.sqrt(power / np.mean(np.abs(points) ** 2))
     points = points * norm
-    return Constellation(points=points, n_bits=n_bits, avg_power=power)
+    return Constellation(points=points, n_bits=n_bits)
 
 
 def rotate(c: Constellation, theta: float) -> Constellation:
     """Rotate every point by e^{j*theta}; power is unchanged."""
-    return Constellation(points=c.points * cmath.exp(1j * theta),
-                         n_bits=c.n_bits, avg_power=c.avg_power)
+    return Constellation(points=c.points * cmath.exp(1j * theta), n_bits=c.n_bits)
 
 
 def composite_points(c1: Constellation, c2: Constellation, cross) -> np.ndarray:
@@ -111,19 +109,20 @@ def composite_min_distance(c1: Constellation, c2: Constellation, cross: complex)
     return float(diff[other].min())
 
 
-def best_rotation(c1: Constellation, c2: Constellation, sqrt_alpha: float,
-                  grid_steps: int = 90) -> float:
+ROTATION_STEPS = 90  # grid points of the rotation search over [0, pi/2)
+
+
+def best_rotation(c1: Constellation, c2: Constellation, sqrt_alpha: float) -> float:
     """Interference-aware rotation for the second transmitter.
 
-    Scans theta over a uniform grid on [0, pi/2) and maximizes the minimum
-    distance between composite points p1 + sqrt_alpha*e^{j*theta}*p2 that
-    carry different c1 labels.  Ties resolve to the smallest angle.
+    Scans theta over a uniform grid of ``ROTATION_STEPS`` angles on [0, pi/2)
+    and maximizes the minimum distance between composite points
+    p1 + sqrt_alpha*e^{j*theta}*p2 that carry different c1 labels.  Ties
+    resolve to the smallest angle.
     """
-    if grid_steps < 2:
-        raise ValueError(f"grid_steps must be >= 2, got {grid_steps}")
     best_theta, best_obj = 0.0, -1.0
-    for k in range(grid_steps):
-        theta = k * (np.pi / 2.0) / grid_steps
+    for k in range(ROTATION_STEPS):
+        theta = k * (np.pi / 2.0) / ROTATION_STEPS
         obj = composite_min_distance(c1, c2, sqrt_alpha * cmath.exp(1j * theta))
         if obj > best_obj:
             best_theta, best_obj = theta, obj

@@ -25,6 +25,7 @@ SIGMOID = "sigmoid"
 LINEAR = "none"
 
 _EPS_NORM = 1e-12  # floor inside both normalization denominators
+_MOMENTUM = 0.99  # weight of BatchPowerNorm's running mean square in each update
 
 
 def take_cache(owner):
@@ -132,17 +133,14 @@ class BatchPowerNorm:
     mean subtraction and no learned affine term.
     """
 
-    def __init__(self, n_cols: int = 2, momentum: float = 0.99):
-        if not 0.0 < momentum < 1.0:
-            raise ValueError(f"momentum must be in (0,1), got {momentum}")
-        self.momentum = momentum
+    def __init__(self, n_cols: int = 2):
         self.running_ms = np.ones(n_cols)
         self._cache = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         if training:
             ms = np.mean(x * x, axis=0)
-            self.running_ms = self.momentum * self.running_ms + (1.0 - self.momentum) * ms
+            self.running_ms = _MOMENTUM * self.running_ms + (1.0 - _MOMENTUM) * ms
             floored = ms < _EPS_NORM
             ms = np.maximum(ms, _EPS_NORM)
             beta = 1.0 / np.sqrt(ms)

@@ -13,7 +13,6 @@ import pytest
 
 from zicae import nn
 from zicae.autoencoder import (
-    AblationFlags,
     TrainConfig,
     ZicAutoencoder,
     train,
@@ -130,7 +129,7 @@ def test_c05_rotation_gain():
     from zicae.modem import best_rotation, composite_min_distance
     c = standard_qam(2, 1.0)
     assert composite_min_distance(c, c, 1.0) == 0.0  # exact overlap at theta=0
-    theta = best_rotation(c, c, 1.0, 90)
+    theta = best_rotation(c, c, 1.0)
     dmin = composite_min_distance(c, c, cmath.exp(1j * theta))
     assert dmin > 0.0
 
@@ -230,7 +229,7 @@ def test_c08_imperfect_csi_limits():
         ch = draw_zic_channel(dist, rng.uniform(0.0, 3.0), rng)
         est = estimate(ch, no_err, rng)
         csi = make_feedback(est, 30)
-        imp = normalize_imperfect(est, csi.theta_delta, ch, 0.1)
+        imp = normalize_imperfect(est, csi.theta_delta, 0.1)
         per = normalize_perfect(ch, 0.1)
         worst = max(worst,
                     abs(imp.hbar11 - per.hbar11), abs(imp.hbar21 - per.hbar21),
@@ -306,7 +305,7 @@ def test_c11_ablation_ordering():
     common = dict(n_channels=100, epochs_per_channel=10, batch=1000,
                   alpha_min=0.9, alpha_max=1.1, n_res_blocks=4, seed=0)
     proposed, _ = train(TrainConfig(**common))
-    no_short, _ = train(TrainConfig(**common, flags=AblationFlags(use_shortcuts=False)))
+    no_short, _ = train(TrainConfig(**common, use_shortcuts=False))
 
     ctx = ideal_context(1.0, 10.0)
     n_sym = 400_000

@@ -7,7 +7,6 @@ import pytest
 from zicae import nn
 from zicae.autoencoder import (
     ABLATION_EXPERIMENTS,
-    AblationFlags,
     CsiInputs,
     TrainConfig,
     TrainingDiverged,
@@ -44,8 +43,7 @@ def test_transmit_power_constraint_in_training_mode():
 
 
 def test_transmit_without_power_branch_splits_evenly():
-    cfg, model = _mini_model(flags=AblationFlags(use_subnet2=False,
-                                                 alpha_to_subnet2=False))
+    cfg, model = _mini_model(use_subnet2=False, alpha_to_subnet2=False)
     bits = np.random.default_rng(2).integers(0, 2, size=(256, 2)).astype(float)
     x = model.tx1.forward(bits, 1.0, training=True)
     assert np.mean(x[:, 0] ** 2) == pytest.approx(cfg.total_power / 2, abs=1e-9)
@@ -67,13 +65,13 @@ def _per_row_pass(tx, bits, sqrt_alpha, training, grad_x):
     gradient ``grad_x``.
     """
     x = np.asarray(bits, dtype=float)
-    if tx.flags.alpha_to_subnet1:
+    if tx.arch.alpha_to_subnet1:
         x = np.concatenate([x, np.full((len(x), 1), sqrt_alpha)], axis=1)
     for layer in tx.net1:
         x = layer.forward(x)
     xb = tx.bpn.forward(x, training)
-    if tx.flags.use_subnet2:
-        g = np.array([[sqrt_alpha if tx.flags.alpha_to_subnet2 else 1.0]])
+    if tx.arch.use_subnet2:
+        g = np.array([[sqrt_alpha if tx.arch.alpha_to_subnet2 else 1.0]])
         for layer in tx.net2:
             g = layer.forward(g)
         gamma = tx.pnorm.forward(g)
@@ -81,7 +79,7 @@ def _per_row_pass(tx, bits, sqrt_alpha, training, grad_x):
         for layer in reversed(tx.net2):
             g = layer.backward(g)
     else:
-        gamma = np.full((1, 2), math.sqrt(tx.total_power / 2.0))
+        gamma = np.full((1, 2), math.sqrt(tx.arch.total_power / 2.0))
     g = tx.bpn.backward(grad_x * gamma)
     for layer in reversed(tx.net1):
         g = layer.backward(g)
@@ -90,10 +88,10 @@ def _per_row_pass(tx, bits, sqrt_alpha, training, grad_x):
 
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("n_bits", [1, 2, 3, 4])
-@pytest.mark.parametrize("flags", ABLATION_EXPERIMENTS.values(),
+@pytest.mark.parametrize("overrides", ABLATION_EXPERIMENTS.values(),
                          ids=list(ABLATION_EXPERIMENTS))
-def test_per_pattern_transmitter_matches_per_row_reference(flags, n_bits, training):
-    _, model = _mini_model(n_bits=n_bits, flags=flags)
+def test_per_pattern_transmitter_matches_per_row_reference(overrides, n_bits, training):
+    _, model = _mini_model(n_bits=n_bits, **overrides)
     tx = model.tx1
     rng = np.random.default_rng(100 + n_bits)
     for rows in (3, 64):  # 3 rows miss some patterns from n_bits = 2 on
@@ -234,8 +232,7 @@ def test_trained_model_holds_no_batch_activations():
 
 def test_ablation_parameter_counts():
     _, full = _mini_model()
-    _, lean = _mini_model(flags=AblationFlags(use_subnet2=False,
-                                              alpha_to_subnet2=False))
+    _, lean = _mini_model(use_subnet2=False, alpha_to_subnet2=False)
     n_full = sum(p.size for p in full.params())
     n_lean = sum(p.size for p in lean.params())
     assert n_full > n_lean
@@ -244,9 +241,9 @@ def test_ablation_parameter_counts():
 def test_ablation_experiment_table():
     assert set(ABLATION_EXPERIMENTS) == {"proposed", "exp1", "exp2", "exp3",
                                          "exp4", "exp5", "exp6"}
-    assert ABLATION_EXPERIMENTS["proposed"] == AblationFlags()
-    assert not ABLATION_EXPERIMENTS["exp1"].use_shortcuts
-    assert not ABLATION_EXPERIMENTS["exp6"].use_subnet2
+    assert ABLATION_EXPERIMENTS["proposed"] == {}
+    assert ABLATION_EXPERIMENTS["exp1"] == {"use_shortcuts": False}
+    assert ABLATION_EXPERIMENTS["exp6"] == {"alpha_to_subnet2": False, "use_subnet2": False}
 
 
 def test_train_zero_channels_returns_untrained_model():
@@ -323,8 +320,9 @@ def test_encode_constellation_power_audit(desk_model):
     # inference-mode power uses frozen running statistics; only a properly
     # trained model has settled ones
     c1, c2 = encode_constellation(desk_model, 1.0)
-    assert c1.avg_power == pytest.approx(desk_model.arch.total_power, rel=0.05)
-    assert c2.avg_power == pytest.approx(desk_model.arch.total_power, rel=0.05)
+    for c in (c1, c2):
+        power = np.mean(np.abs(c.points) ** 2)
+        assert power == pytest.approx(desk_model.arch.total_power, rel=0.05)
 
 
 def test_noiseless_self_decoding_after_convergence(desk_model):

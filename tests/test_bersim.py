@@ -259,7 +259,7 @@ def test_block_detection_equals_per_draw_detection(cls, n_symbols):
     for y1, y2, block, (c1, c2), (hat1, hat2) in scheme.calls:
         assert y1.size <= max(bersim._BLOCK_ROWS, min(n_symbols, bersim._CHUNK))
         for d in range(block.shape[0]):
-            one1, one2 = (Constellation(c.points[d, 0] if c.points.ndim > 1 else c.points, 2, 1.0)
+            one1, one2 = (Constellation(c.points[d, 0] if c.points.ndim > 1 else c.points, 2)
                           for c in (c1, c2))
             cross_d = block.csi.sa_rx1[d, 0] * np.exp(1j * block.csi.theta_delta[d, 0])
             assert np.array_equal(hat1[d], detect_rx1(y1[d], one1, one2, cross_d))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from zicae import channel
-from zicae.autoencoder import AblationFlags, TrainConfig
+from zicae.autoencoder import TrainConfig
 from zicae.bersim import EvalConfig
 from zicae.channel import (
     ALPHA_RANGE,
@@ -214,7 +214,7 @@ def test_feedback_residual_bound():
 def test_normalize_imperfect_reduces_to_perfect():
     ch = draw_zic_channel(ChannelConfig(mu_h=1.0, sigma_h2=0.1), 0.8, np.random.default_rng(16))
     est = estimate(ch, ChannelConfig(sigma_e2=0.0), np.random.default_rng(17))
-    eq_imp = normalize_imperfect(est, 0.0, ch, 0.1)
+    eq_imp = normalize_imperfect(est, 0.0, 0.1)
     eq_per = normalize_perfect(ch, 0.1)
     assert eq_imp.hbar11 == eq_per.hbar11
     assert eq_imp.hbar22 == eq_per.hbar22
@@ -225,7 +225,7 @@ def test_normalize_imperfect_reduces_to_perfect():
 
 def test_normalize_imperfect_residual_phase():
     est = EstimatedChannel(1 + 0j, 1 + 0j, 1 + 0j, 0j, 0j, 0j, 1.0, 0.0)
-    eq = normalize_imperfect(est, math.pi / 8, None, 0.1)
+    eq = normalize_imperfect(est, math.pi / 8, 0.1)
     assert abs(eq.hbar21 - cmath.exp(1j * math.pi / 8)) < 1e-15
 
 
@@ -233,9 +233,9 @@ def test_normalize_imperfect_matches_reevaluation():
     rng = np.random.default_rng(18)
     cfg = ChannelConfig(mu_h=1.0, sigma_h2=0.1, sigma_e2=0.1)
     for _ in range(300):
-        ch, est = draw_accepted_estimate(cfg, rng.uniform(0, 3), rng)
+        est = draw_accepted_estimate(cfg, rng.uniform(0, 3), rng)
         theta_delta = make_feedback(est, 3).theta_delta
-        eq = normalize_imperfect(est, theta_delta, ch, 0.1)
+        eq = normalize_imperfect(est, theta_delta, 0.1)
         assert abs(eq.hbar11 - (1 + est.eps11 / est.hhat11)) < 1e-12
         assert abs(eq.hbar22 - (1 + est.eps22 / est.hhat22)) < 1e-12
         expected21 = (abs(est.hhat21) / abs(est.hhat11)) * cmath.exp(1j * theta_delta) \
@@ -244,6 +244,17 @@ def test_normalize_imperfect_matches_reevaluation():
         # accepted channels keep the direct gains near one
         assert abs(eq.hbar11 - 1.0) < cfg.threshold_t
         assert abs(eq.hbar22 - 1.0) < cfg.threshold_t
+
+
+def test_channel_context_accepts_estimates_far_larger_than_the_channel():
+    # with sigma_e2 = 1e18, h - eps + eps rounds far from h; the context is
+    # built from the estimate alone, so every draw still gives one
+    cfg = ChannelConfig(csi_mode="imperfect", sigma_e2=1e18, threshold_t=2.0)
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        ctx = channel_context(cfg, 1.0, 10.0, rng)
+        assert abs(ctx.eq.hbar11 - 1.0) < cfg.threshold_t
+        assert abs(ctx.eq.hbar22 - 1.0) < cfg.threshold_t
 
 
 def test_apply_channel_noiseless():
@@ -324,7 +335,7 @@ def test_channel_config_rejects_bad_values(cls, key, value):
 
 def test_config_keys_round_trip():
     train = TrainConfig(n_bits=3, alpha_min=0.25, alpha_max=0.75, seed=7, csi_mode="imperfect",
-                        sigma_e2=0.05, mu_h=0.9 - 0.2j, flags=AblationFlags(alpha_to_rx=False))
+                        sigma_e2=0.05, mu_h=0.9 - 0.2j, alpha_to_rx=False)
     evals = [EvalConfig(snr_grid_db=(0.0, 12.5), alpha_grid=(0.1,), n_symbols_per_point=300,
                         max_bits=5000, mu_h=1.1 + 0.3j, n_q=4),
              EvalConfig()]

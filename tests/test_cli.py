@@ -1,9 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zicae.cli import main
+from zicae.cli import CONFIG_KEYS, main
 from zicae.modelio import load_model
 
 TINY_TRAIN = """
@@ -264,6 +266,18 @@ def test_ablation_rejects_uncovering_config(tmp_path, capsys):
     assert "cover" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["use_shortcuts = 0", "alpha_to_subnet1 = 0",
+                                  "alpha_to_subnet2 = 0", "alpha_to_rx = 0", "use_subnet2 = 0",
+                                  "snr_grid_db = 25", "alpha_grid = 2.5"])
+def test_ablation_refuses_keys_it_sets_itself(tmp_path, capsys, line):
+    cfg = _write(tmp_path, "a.cfg", ABLATION_CFG + line + "\n")
+    out = tmp_path / "a.csv"
+    rc = main(["ablation", "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert repr(line.split()[0]) in capsys.readouterr().err
+    assert not out.exists()
+
+
 HARSH_ESTIMATION = "csi_mode = imperfect\nsigma_e2 = 2\nthreshold_t = 0.05\n"
 
 
@@ -344,6 +358,13 @@ def test_ablation_has_no_threads_option(tmp_path):
     with pytest.raises(SystemExit):
         main(["ablation", "--config", str(cfg), "--out", str(tmp_path / "a.csv"),
               "--threads", "2"])
+
+
+def test_readme_config_paragraph_names_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = next(p for p in readme.split("\n\n") if p.startswith("Training keys"))
+    named = {token.split("=")[0] for token in re.findall(r"`([^`]+)`", paragraph)}
+    assert named == CONFIG_KEYS
 
 
 def test_selftest_passes():

@@ -91,17 +91,17 @@ GOLDEN = {
     "constellation.csv":
         "5933916586a463f8730f3bda9f60d0834d87b07e6420e6327fad820b7b3514e5",
     "eval-baseline1-imperfect.csv":
-        "21efa2baaf63aa8cff8618da1ffafbbee6667aec549f15893cd24cc8d2a85fe1",
+        "ef2c35420a404a250801f854ad524aee86e6980b70c5cf67858aaffc9201f747",
     "eval-baseline1-perfect.csv":
-        "b4ff5e3695a1c34e71d822122737c81de4789339f710f69343e139370ca0937c",
+        "a97a90f117353c3802170202b94c28e37f7270ac9868055780ae038032c46d65",
     "eval-baseline2-imperfect.csv":
-        "be5da5ad53cf0dc120f317c113203f403fb2bac646b5bb0ff3ec1b03a742c6a0",
+        "a3e41293186f34605636f5b603bb3e011fbc97abd7125160f3d1fb53caac3c15",
     "eval-baseline2-perfect.csv":
-        "16906be5790b70380078af68a762f3c4be976db301426dc1a6bced25fb014582",
+        "49386feeaec37ac030d12586baab747432586cdf26021d9dc7269998b7a1aeca",
     "eval-dae-imperfect.csv":
-        "3015605f453bd89f1badc1ac687be5f1094c30abd80a30b1bfed071050690f19",
+        "f33f71aff15f66227c58b47603e46d3572ba3e6dbb874d5f8ee991661fce2f22",
     "eval-dae-perfect.csv":
-        "7c6eae668c1d2d5f6c971881fade1677e3dec8145fe308e1864f5135f1115c47",
+        "db45d32a9fb409f7a9aa02b1fef75c109a2a2b56f4f27d9c4e58d646acd5e9a6",
     "imperfect.zicmodel":
         "d1b859022cbe4fd431a0e9e0b1866dd778d3386eea6c24facc0bdfe97e15296a",
     "imperfect.zicmodel.train.csv":

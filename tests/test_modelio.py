@@ -6,7 +6,7 @@ import pytest
 
 from zicae.autoencoder import ABLATION_EXPERIMENTS, CsiInputs, TrainConfig, ZicAutoencoder
 from zicae.channel import EquivalentChannel
-from zicae.modelio import config_text, file_sha256, load_model, model_arrays, save_model
+from zicae.modelio import file_sha256, load_model, model_arrays, save_model
 
 CFG = TrainConfig(n_channels=0, n_bits=2, batch=32, hidden_width=8, subnet2_width=4,
                   alpha_min=0.9, alpha_max=1.1, csi_mode="imperfect", sigma_e2=0.05)
@@ -55,26 +55,26 @@ def test_save_is_byte_deterministic(tmp_path):
 
 def test_flag_variants_roundtrip(tmp_path):
     # every architecture field differs from its default somewhere here
-    for name, flags in ABLATION_EXPERIMENTS.items():
+    for name, overrides in ABLATION_EXPERIMENTS.items():
         for csi_mode in ("perfect", "imperfect"):
             cfg = TrainConfig(n_channels=0, batch=32, n_bits=3, hidden_width=8,
                               n_res_blocks=1, subnet2_width=4, alpha_min=0.4, alpha_max=1.6,
                               total_power=2.5, train_snr_db=7.5, csi_mode=csi_mode,
-                              sigma_e2=0.05, flags=flags)
+                              sigma_e2=0.05, **overrides)
             model = ZicAutoencoder(cfg, np.random.default_rng(5))
             path = tmp_path / f"{name}-{csi_mode}.zicmodel"
             save_model(path, model, cfg)
             loaded = load_model(path)
             assert loaded.arch == model.arch, (name, csi_mode)
-            assert loaded.arch.flags == flags
+            assert all(getattr(loaded.arch, k) == v for k, v in overrides.items())
             assert len(loaded.params()) == len(model.params())
 
 
 def test_config_text_round_trips_floats():
-    text = config_text(CFG)
+    text = CFG.config_text()
     assert "alpha_min=0.9" in text
     assert "csi_mode=imperfect" in text
-    assert text == config_text(CFG)
+    assert text == CFG.config_text()
 
 
 def test_load_rejects_non_model(tmp_path):
