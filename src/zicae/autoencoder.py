@@ -34,6 +34,7 @@ from .channel import (
     EquivalentChannel,
     channel_context,
     draw_channel,  # noqa: F401 -- module-level binding read by tracing tools
+    rule,
 )
 from .modem import Constellation, bits_to_index, index_to_bits
 
@@ -46,18 +47,18 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig(ChannelConfig):
     """Hyperparameters of one training run (defaults follow the full-scale recipe)."""
 
-    alpha_min: float = 0.0
-    alpha_max: float = 0.5
-    train_snr_db: float = 10.0
-    n_channels: int = 30000
-    epochs_per_channel: int = 10
-    batch: int = 10000
-    lr: float = 1e-2
-    decay: float = 0.95
-    decay_every: int = 200
-    hidden_width: int = 64
-    n_res_blocks: int = 2
-    subnet2_width: int = 16
+    alpha_min: float = rule(0.0, 0)
+    alpha_max: float = rule(0.5, 0, open_lo=True)
+    train_snr_db: float = rule(10.0)
+    n_channels: int = rule(30000, 0)
+    epochs_per_channel: int = rule(10, 1)
+    batch: int = rule(10000, 1)
+    lr: float = rule(1e-2, 0, open_lo=True)
+    decay: float = rule(0.95, 0, 1, open_lo=True)
+    decay_every: int = rule(200, 1)
+    hidden_width: int = rule(64, 1)
+    n_res_blocks: int = rule(2, 0)
+    subnet2_width: int = rule(16, 1)
     # architecture toggles of the ablation study; all true is the proposed design
     use_shortcuts: bool = True
     alpha_to_subnet1: bool = True
@@ -67,19 +68,8 @@ class TrainConfig(ChannelConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        for name in ("alpha_min", "alpha_max", "train_snr_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.alpha_min < 0:
-            raise ValueError(f"alpha_min must be >= 0, got {self.alpha_min!r}")
         if not self.alpha_min < self.alpha_max:
             raise ValueError("need alpha_min < alpha_max")
-        for name in ("epochs_per_channel", "batch", "decay_every",
-                     "hidden_width", "subnet2_width"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.n_channels < 0 or self.n_res_blocks < 0:
-            raise ValueError("counts must be nonnegative")
 
 
 # the TrainConfig fields a model is built from, in model-file header order

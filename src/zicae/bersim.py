@@ -29,6 +29,7 @@ from .channel import (
     apply_channel,
     channel_context,
     draw_channel,  # noqa: F401 -- module-level binding read by tracing tools
+    rule,
     stack_contexts,
 )
 from .modem import Constellation
@@ -42,26 +43,12 @@ _DECODE_ROWS = 512   # rows per receiver call of the autoencoder, at most
 class EvalConfig(ChannelConfig):
     """Grid, averaging, and adaptivity settings for one evaluation run."""
 
-    snr_grid_db: tuple = (10.0,)
-    alpha_grid: tuple = (1.0,)
-    n_channel_draws: int = 500
-    n_symbols_per_point: int = 0  # 0 -> adaptive stopping
-    min_errors: int = 100
-    max_bits: int = 10_000_000
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.snr_grid_db or not self.alpha_grid:
-            raise ValueError("grids must be non-empty")
-        if self.n_channel_draws < 1 or self.min_errors < 1 or self.max_bits < 1:
-            raise ValueError("counts must be positive")
-        if self.n_symbols_per_point < 0:
-            raise ValueError("n_symbols_per_point must be >= 0 (0 for adaptive), "
-                             f"got {self.n_symbols_per_point!r}")
-        if not all(math.isfinite(v) for v in self.snr_grid_db):
-            raise ValueError(f"snr_grid_db must be finite, got {self.snr_grid_db!r}")
-        if not all(math.isfinite(v) and v >= 0 for v in self.alpha_grid):
-            raise ValueError(f"alpha_grid must be finite and >= 0, got {self.alpha_grid!r}")
+    snr_grid_db: tuple = rule((10.0,))
+    alpha_grid: tuple = rule((1.0,), 0)
+    n_channel_draws: int = rule(500, 1)
+    n_symbols_per_point: int = rule(0, 0)  # 0 -> adaptive stopping
+    min_errors: int = rule(100, 1)
+    max_bits: int = rule(10_000_000, 1)
 
 
 @dataclass(frozen=True)

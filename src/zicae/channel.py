@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -115,6 +115,14 @@ def _parse(name: str, kind, base, raw: dict[str, str]):
         raise ValueError(f"bad value for {name!r}: {text!r}") from exc
 
 
+def rule(default, lo=None, hi=None, open_lo=False):
+    """A config field whose values lie in [lo, hi], open at lo if ``open_lo``; None: no bound.
+
+    Floats, complex parts and grid entries must also be finite, and grids non-empty.
+    """
+    return field(default=default, metadata={"rule": (lo, hi, open_lo)})
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
     """Settings shared by training and evaluation: symbols, power, seed and CSI model.
@@ -123,28 +131,42 @@ class ChannelConfig:
     through :meth:`config_items` and :meth:`from_config`.
     """
 
-    n_bits: int = 2
-    total_power: float = 1.0
-    seed: int = 0
+    # above 6 bits, Baseline2's rotation search builds (M1*M2)^2 arrays (over 4 GB
+    # at 7); above 52 feedback bits a segment is finer than float64 spacing
+    n_bits: int = rule(2, 1, 6)
+    total_power: float = rule(1.0, 0, open_lo=True)
+    seed: int = rule(0, 0)
     csi_mode: str = PERFECT
-    sigma_e2: float = 0.0
-    threshold_t: float = 1.0
-    n_q: int = 3
-    mu_h: complex = 1.0 + 0j
-    sigma_h2: float = 0.1
+    sigma_e2: float = rule(0.0, 0)
+    threshold_t: float = rule(1.0, 0, open_lo=True)
+    n_q: int = rule(3, 1, 52)
+    mu_h: complex = rule(1.0 + 0j)
+    sigma_h2: float = rule(0.1, 0)
 
     def __post_init__(self):
         if self.csi_mode not in (PERFECT, IMPERFECT):
             raise ValueError(f"unknown csi_mode {self.csi_mode!r}")
-        for name, ok, rule in (("n_bits", self.n_bits >= 1, ">= 1"),
-                               ("total_power", self.total_power > 0, "> 0"),
-                               ("seed", self.seed >= 0, ">= 0"),
-                               ("sigma_h2", self.sigma_h2 >= 0, ">= 0"),
-                               ("n_q", self.n_q >= 1, ">= 1"),
-                               ("sigma_e2", self.sigma_e2 >= 0, ">= 0"),
-                               ("threshold_t", self.threshold_t > 0, "> 0")):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        for f in fields(self):
+            if "rule" not in f.metadata:
+                continue
+            lo, hi, open_lo = f.metadata["rule"]
+            value = getattr(self, f.name)
+            if isinstance(f.default, complex):
+                parts = [(f"{f.name}_re", value.real), (f"{f.name}_im", value.imag)]
+            elif isinstance(f.default, tuple):
+                if not value:
+                    raise ValueError(f"{f.name} must be non-empty, got {value!r}")
+                parts = [(f.name, v) for v in value]
+            else:
+                parts = [(f.name, value)]
+            for key, v in parts:
+                # an int is never tested: math.isfinite(10**400) overflows
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValueError(f"{key} must be finite, got {v!r}")
+                if lo is not None and (v <= lo if open_lo else v < lo):
+                    raise ValueError(f"{key} must be {'>' if open_lo else '>='} {lo}, got {v!r}")
+                if hi is not None and v > hi:
+                    raise ValueError(f"{key} must be <= {hi}, got {v!r}")
         if self.mu_h == 0 and self.sigma_h2 == 0:
             raise ValueError("mu_h_re = mu_h_im = 0 with sigma_h2 = 0 makes every direct "
                              "gain zero, which cannot be normalized out")

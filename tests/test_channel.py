@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -331,6 +332,18 @@ def test_rejection_loop_stops_at_the_attempt_cap(monkeypatch):
 def test_channel_config_rejects_bad_values(cls, key, value):
     with pytest.raises(ValueError, match=key):
         cls(**{key: value})
+
+
+@pytest.mark.parametrize("cls", [TrainConfig, EvalConfig])
+def test_every_config_field_declares_a_rule(cls):
+    toggles = {f.name for f in fields(cls) if isinstance(f.default, bool)}
+    assert {f.name for f in fields(cls) if "rule" not in f.metadata} == {"csi_mode", *toggles}
+    cls()  # every default keeps its rule
+
+
+def test_rules_accept_ints_too_large_for_a_float():
+    huge = 10**400
+    assert TrainConfig(seed=huge, n_channels=huge, batch=huge).seed == huge
 
 
 def test_config_keys_round_trip():

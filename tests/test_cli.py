@@ -1,10 +1,13 @@
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from zicae.autoencoder import TrainConfig
+from zicae.bersim import EvalConfig
 from zicae.cli import CONFIG_KEYS, main
 from zicae.modelio import load_model
 
@@ -318,6 +321,39 @@ def test_train_invalid_value_exits_2(tmp_path, capsys, line):
     assert rc == 2
     assert line.split()[0] in capsys.readouterr().err
     assert not out.exists()
+
+
+def _rule_violations():
+    """``(command, key, text)`` for each way a numeric config key can break its rule.
+
+    Below the lower bound (at it, if it is open), above the upper bound, and
+    inf and nan for float keys; a grid is also tried empty.
+    """
+    cases = [("train", "n_q", "1100"), ("eval", "n_q", "1100")]
+    for key in sorted(CONFIG_KEYS):
+        for command, cls in (("train", TrainConfig), ("eval", EvalConfig)):
+            f = {f.name: f for f in fields(cls)}.get(key.removesuffix("_re").removesuffix("_im"))
+            if f is None or f.name == "csi_mode" or isinstance(f.default, bool):
+                continue
+            lo, hi, open_lo = f.metadata["rule"]
+            texts = [] if lo is None else [str(lo - 1)] + ([str(lo)] if open_lo else [])
+            texts += [] if hi is None else [str(hi + 1)]
+            texts += [] if isinstance(f.default, int) else ["inf", "nan"]
+            texts += [","] if isinstance(f.default, tuple) else []
+            cases += [(command, key, text) for text in texts]
+    return cases
+
+
+@pytest.mark.parametrize("command,key,text", _rule_violations(),
+                         ids=lambda v: v.replace(",", "comma"))
+def test_rule_violation_exits_2_naming_the_key(tmp_path, capsys, command, key, text):
+    base, extra = (TINY_TRAIN, []) if command == "train" else (EVAL_CFG, ["--scheme", "baseline1"])
+    cfg = _write(tmp_path, "c.cfg", f"{base}{key} = {text}\n")
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), *extra, "--out", str(out)])
+    assert rc == 2
+    assert f"{key} must be" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 @pytest.mark.parametrize("command,text,extra", [
