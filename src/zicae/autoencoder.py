@@ -185,6 +185,8 @@ class Receiver:
     """Channel output (+ CSI side inputs) -> per-bit probabilities.
 
     Each side input and the scale ``eta`` are a scalar or one value per row.
+    Inference (``training=False``) runs the dense stack in float32 and caches
+    nothing.
     """
 
     def __init__(self, cfg: TrainConfig, n_extras: int, rng: np.random.Generator):
@@ -207,9 +209,12 @@ class Receiver:
             x = np.concatenate([yd] + [_column(v, len(y)) for v in extras], axis=1)
         else:
             x = yd
+        if not training:  # frozen: float32 from the first layer's input to the sigmoid
+            x = x.astype(np.float32)
         for layer in self.net:
-            x = layer.forward(x)
-        self._cache = eta
+            x = layer.forward(x, training)
+        if training:
+            self._cache = eta
         return x
 
     def backward(self, grad_probs: np.ndarray) -> np.ndarray:

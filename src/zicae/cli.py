@@ -23,7 +23,7 @@ from pathlib import Path
 from . import bersim, modelio
 from .autoencoder import ABLATION_EXPERIMENTS, TrainConfig, encode_constellation, train
 from .bersim import BerResult, EvalConfig
-from .channel import ChannelConfig, RejectionLimitError
+from .channel import PERFECT, ChannelConfig, RejectionLimitError
 from .modem import constellation_rows
 
 log = logging.getLogger("zicae")
@@ -63,9 +63,14 @@ def config_from(cls, raw: dict, seed_override: int | None = None, base=None):
     """A ``cls`` config from parsed key=value pairs; absent keys keep ``base``'s values."""
     try:
         cfg = cls.from_config(raw, base)
-        return cfg if seed_override is None else replace(cfg, seed=seed_override)
+        cfg = cfg if seed_override is None else replace(cfg, seed=seed_override)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for key in ("sigma_e2", "threshold_t", "n_q"):  # read by the imperfect-CSI model only
+        if key in raw and cfg.csi_mode == PERFECT:
+            raise ConfigError(f"{key} is only read with csi_mode = imperfect; "
+                              f"remove the key or set csi_mode = imperfect")
+    return cfg
 
 
 def _run_id(*parts: str) -> str:

@@ -1,14 +1,18 @@
 """Minimal dense-network engine with analytic backpropagation.
 
-Everything runs on float64 numpy arrays shaped (batch, features).  Each
-layer's forward caches what its backward needs, and that backward consumes
-the cache, so a trained network holds only parameters and gradients.  The
-training contract: one backward per forward, layers in reverse order, and
-no other call on a layer (or on a model holding it) between the two.  A
-backward with no cache to consume raises RuntimeError.  A tanh layer's
-backward writes over its forward output, which is dead by then.  Each layer
-instance appears exactly once in a computation graph.  Gradients are summed
-over the batch (losses carry their own 1/batch factor).
+Arrays are shaped (batch, features).  Training runs on float64: each
+layer's training forward caches what its backward needs, and that backward
+consumes the cache, so a trained network holds only parameters and
+gradients.  The training contract: one backward per forward, layers in
+reverse order, and no other call on a layer (or on a model holding it)
+between the two.  A backward with no cache to consume raises RuntimeError.
+A tanh layer's backward writes over its forward output, which is dead by
+then.  Each layer instance appears exactly once in a computation graph.
+Gradients are summed over the batch (losses carry their own 1/batch factor).
+
+A ``training=False`` forward of a dense layer (or a residual block) caches
+nothing and computes in its input's dtype, casting the weights per call: the
+frozen receivers run in float32 that way, so a later backward raises.
 
 Besides the usual dense/residual blocks this module provides the two
 power-related normalizations of the transmitter: a multiplicative-only batch
@@ -81,13 +85,15 @@ class Dense:
         self.db = np.zeros_like(self.b)
         self._cache = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         if x.shape[1] != self.W.shape[1]:
             raise ValueError(f"expected {self.W.shape[1]} input columns, got {x.shape[1]}")
-        z = x @ self.W.T
-        z += self.b
+        # a per-call cast: Adam updates W and b in place, so a stored copy would go stale
+        z = x @ self.W.T.astype(x.dtype, copy=False)
+        z += self.b.astype(x.dtype, copy=False)
         y = _activate(z, self.activation)
-        self._cache = (x, y)
+        if training:
+            self._cache = (x, y)
         return y
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -110,8 +116,8 @@ class Residual:
     def __init__(self, inner: Dense):
         self.inner = inner
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return x + self.inner.forward(x)
+    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+        return x + self.inner.forward(x, training)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         grad_in = self.inner.backward(grad_out)

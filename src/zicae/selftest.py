@@ -3,7 +3,7 @@
 Fast, deterministic checks of the load-bearing contracts: quantizer geometry,
 power constraints, end-to-end gradients against finite differences, the
 original-vs-equivalent channel model identity, QAM detection against the full
-search, and training determinism.
+search, training determinism, and float32 receivers against float64.
 """
 
 from __future__ import annotations
@@ -13,10 +13,12 @@ import cmath
 import numpy as np
 
 from . import modem, nn
-from .autoencoder import TrainConfig, ZicAutoencoder, train
+from .autoencoder import TrainConfig, ZicAutoencoder, receiver_scale, train
 from .channel import (
+    IMPERFECT,
     THETA_RANGE,
     ChannelConfig,
+    CsiInputs,
     draw_zic_channel,
     normalize_perfect,
     quantize,
@@ -109,6 +111,58 @@ def _check_determinism() -> None:
         assert np.array_equal(a, b), "training is not deterministic"
 
 
+def float64_probs(model: ZicAutoencoder, y1, y2, knows: CsiInputs, noise_var: float):
+    """Both frozen receivers' bit probabilities in float64, the training arithmetic.
+
+    A reference for the float32 inference path: the input columns are built
+    as the receivers build them, then run through their layers uncast.
+    """
+    arch = model.arch
+    extras1 = [knows.sa_rx1] if arch.alpha_to_rx else []
+    if arch.csi_mode == IMPERFECT:
+        extras1.append(knows.theta_delta)
+    extras2 = [knows.sa_rx2] if arch.alpha_to_rx else []
+    probs = []
+    for rx, y, extras, p_desired in (
+            (model.rx1, y1, extras1, (1.0 + knows.sa_rx1**2) * arch.total_power),
+            (model.rx2, y2, extras2, arch.total_power)):
+        eta = np.broadcast_to(receiver_scale(p_desired, noise_var), len(y))[:, None]
+        x = np.column_stack([rx.bpn.forward(np.stack([y.real, y.imag], axis=1), False) * eta]
+                            + [np.broadcast_to(v, len(y)) for v in extras])
+        for layer in rx.net:
+            x = layer.forward(x, training=False)
+        probs.append(x)
+    return probs
+
+
+def assert_float32_agrees(model: ZicAutoencoder, y1, y2, knows: CsiInputs,
+                          noise_var: float, tol: float = 1e-5) -> None:
+    """Float32 probabilities within ``tol`` of float64, and decisions flipped only
+    where the float64 probability is within ``tol`` of 0.5."""
+    got = model._receive(np.stack([y1.real, y1.imag], axis=1),
+                         np.stack([y2.real, y2.imag], axis=1), knows, noise_var,
+                         training=False)
+    hats = model.receive(y1, y2, knows, noise_var)
+    for p32, p64, hat in zip(got, float64_probs(model, y1, y2, knows, noise_var), hats):
+        assert p32.dtype == np.float32, f"inference ran in {p32.dtype}"
+        dp = float(np.max(np.abs(p32 - p64)))
+        assert dp <= tol, f"float32 probabilities differ by {dp:.2e}"
+        flipped = hat != (p64 > 0.5)
+        assert np.all(np.abs(p64[flipped] - 0.5) < tol), "a clear decision flipped"
+
+
+def _check_float32_inference() -> None:
+    rng = np.random.default_rng(17)
+    for csi_mode in ("perfect", IMPERFECT):
+        cfg = TrainConfig(n_channels=0, hidden_width=16, subnet2_width=8, csi_mode=csi_mode)
+        model = ZicAutoencoder(cfg, rng)
+        for snr_db in (10.0, 25.0):
+            y1, y2 = (rng.normal(size=1000) + 1j * rng.normal(size=1000) for _ in range(2))
+            knows = CsiInputs(1.0, rng.uniform(0.0, 1.5, 1000), 1.0,
+                              rng.uniform(-0.4, 0.4, 1000) if csi_mode == IMPERFECT else None)
+            assert_float32_agrees(model, y1, y2, knows, cfg.noise_var(snr_db))
+
+
 def _check_adam_first_step() -> None:
     p = np.zeros(1)
     opt = nn.Adam([p], lr=0.01)
@@ -123,6 +177,7 @@ CHECKS = [
     ("original vs equivalent channel model", _check_model_equivalence),
     ("QAM joint-ML detection equals brute force", _check_qam_detection),
     ("training determinism", _check_determinism),
+    ("float32 receivers agree with float64", _check_float32_inference),
     ("optimizer first-step magnitude", _check_adam_first_step),
 ]
 

@@ -1,5 +1,6 @@
 import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from zicae.autoencoder import (
     train,
 )
 from zicae.bersim import DaeScheme, ideal_context
-from zicae.channel import EquivalentChannel
+from zicae.channel import EquivalentChannel, apply_channel, channel_context
 from zicae.modem import bits_to_index
+from zicae.selftest import assert_float32_agrees
 
 MINI = dict(n_channels=0, batch=64, hidden_width=8, subnet2_width=4,
             alpha_min=0.9, alpha_max=1.1)
@@ -228,6 +230,49 @@ def test_trained_model_holds_no_batch_activations():
     arrays = _reachable_arrays(model)
     assert len(arrays) > len(model.params())
     assert [a.shape for a in arrays if a.ndim and len(a) == batch] == []
+
+
+def test_receive_holds_no_activations():
+    model, _ = train(TrainConfig(**{**MINI, "n_channels": 2, "epochs_per_channel": 2}))
+    held = {id(a) for a in _reachable_arrays(model)}
+    rng = np.random.default_rng(8)
+    y1, y2 = (rng.normal(size=4000) + 1j * rng.normal(size=4000) for _ in range(2))
+    model.receive(y1, y2, CsiInputs(1.0, 1.0, 1.0), 0.1)
+    # only each receiver's two-float BatchPowerNorm scale is new
+    scales = {id(rx.bpn._cache[0]) for rx in (model.rx1, model.rx2)}
+    assert {id(a) for a in _reachable_arrays(model)} == held | scales
+
+
+@pytest.mark.parametrize("sa_rx", [1.0, np.linspace(0.9, 1.1, 5)], ids=["scalar", "per-row"])
+def test_frozen_receiver_runs_in_float32(sa_rx):
+    _, model = _mini_model()
+    y = np.random.default_rng(9).normal(size=(5, 2))
+    probs = model.rx1.forward(y, [sa_rx], np.full(5, 3.0), training=False)
+    assert probs.dtype == np.float32
+    assert model.rx1._cache is None
+
+
+@pytest.fixture(scope="module")
+def imperfect_model():
+    model, _ = train(TrainConfig(n_channels=100, epochs_per_channel=10, batch=500,
+                                 alpha_min=0.9, alpha_max=1.1, seed=0, csi_mode="imperfect",
+                                 sigma_e2=0.05, threshold_t=0.5, n_q=3))
+    return model
+
+
+@pytest.mark.parametrize("snr_db", [10.0, 25.0])
+@pytest.mark.parametrize("csi_mode", ["perfect", "imperfect"])
+def test_float32_receivers_decide_as_float64(request, csi_mode, snr_db):
+    model = request.getfixturevalue("desk_model" if csi_mode == "perfect"
+                                    else "imperfect_model")
+    cfg = replace(model.arch, sigma_e2=0.05, threshold_t=0.5, n_q=3)
+    rng = np.random.default_rng(22)
+    for alpha in np.linspace(0.9, 1.1, 10):
+        ctx = channel_context(cfg, alpha, snr_db, rng)
+        bits1, bits2 = rng.integers(0, 2, size=(2, 400, 2))
+        x1, x2 = model.transmit(bits1, bits2, ctx.csi.sa_tx)
+        y1, y2 = apply_channel(ctx.eq, x1, x2, rng)
+        assert_float32_agrees(model, y1, y2, ctx.csi, ctx.noise_var)
 
 
 def test_ablation_parameter_counts():

@@ -312,6 +312,23 @@ def test_eval_invalid_channel_value_exits_2(tmp_path, capsys, line):
     assert line.split()[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["sigma_e2 = 0.05", "threshold_t = 0.5", "n_q = 2"])
+@pytest.mark.parametrize("command,text,extra", [
+    ("train", TINY_TRAIN, []),
+    ("eval", EVAL_CFG, ["--scheme", "baseline1"]),
+], ids=["train", "eval"])
+def test_imperfect_only_key_under_perfect_csi_exits_2(tmp_path, capsys, command, text,
+                                                      extra, line):
+    cfg = _write(tmp_path, "c.cfg", text + line + "\n")
+    out = tmp_path / "out"
+    rc = main([command, "--config", str(cfg), *extra, "--out", str(out)])
+    assert rc == 2
+    assert f"{line.split()[0]} is only read with csi_mode = imperfect" in capsys.readouterr().err
+    assert not out.exists()
+    _write(tmp_path, "c.cfg", text + line + "\ncsi_mode = imperfect\n")
+    assert main([command, "--config", str(cfg), *extra, "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("line", ["alpha_min = -1", "alpha_max = inf",
                                   "train_snr_db = nan", "train_snr_db = inf"])
 def test_train_invalid_value_exits_2(tmp_path, capsys, line):

@@ -178,6 +178,25 @@ def test_residual_backward_consumes_its_forward():
         block.backward(grad)
 
 
+@pytest.mark.parametrize("residual", [False, True])
+@pytest.mark.parametrize("kind", [nn.TANH, nn.SIGMOID, nn.LINEAR])
+def test_inference_forward_runs_in_input_dtype_and_caches_nothing(kind, residual):
+    rng = np.random.default_rng(17)
+    inner = nn.Dense(3, 3, kind, rng)
+    layer = nn.Residual(inner) if residual else inner
+    x = rng.normal(size=(4, 3))
+    y32 = layer.forward(x.astype(np.float32), training=False)
+    assert y32.dtype == np.float32
+    assert inner._cache is None
+    with pytest.raises(RuntimeError, match="Dense.backward"):
+        layer.backward(np.ones((4, 3)))
+    y64 = layer.forward(x, training=False)
+    assert y64.dtype == np.float64 and inner._cache is None
+    assert np.array_equal(y64, layer.forward(x))  # the training arithmetic
+    assert np.max(np.abs(y32 - y64)) < 1e-6
+    assert inner.W.dtype == np.float64 and inner.b.dtype == np.float64
+
+
 @pytest.mark.parametrize("training", [True, False])
 def test_batch_power_norm_backward_consumes_its_forward(training):
     bpn = nn.BatchPowerNorm(2)
