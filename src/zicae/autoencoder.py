@@ -134,17 +134,17 @@ class Transmitter:
         if arch.alpha_to_subnet1:
             x = np.concatenate([x, np.full((x.shape[0], 1), sqrt_alpha)], axis=1)
         for layer in self.net1:
-            x = layer.forward(x)
+            x = layer.forward(x, training)
         xb = self.bpn.forward(x[idx], training)
         if arch.use_subnet2:
-            a2 = np.array([[sqrt_alpha if arch.alpha_to_subnet2 else 1.0]])
-            g = a2
+            g = np.array([[sqrt_alpha if arch.alpha_to_subnet2 else 1.0]])
             for layer in self.net2:
-                g = layer.forward(g)
-            gamma = self.pnorm.forward(g)
+                g = layer.forward(g, training)
+            gamma = self.pnorm.forward(g, training)
         else:
             gamma = np.full((1, 2), math.sqrt(arch.total_power / 2.0))
-        self._cache = (idx, xb, gamma)
+        if training:
+            self._cache = (idx, xb, gamma)
         return xb * gamma
 
     def points(self, sqrt_alpha: float) -> np.ndarray:
@@ -304,18 +304,16 @@ class ZicAutoencoder:
     def covers(self, alpha: float) -> bool:
         return self.arch.alpha_min <= alpha <= self.arch.alpha_max
 
-    def transmit(self, bits1: np.ndarray, bits2: np.ndarray, sa_tx,
-                 constellations=None) -> tuple[np.ndarray, np.ndarray]:
+    def transmit(self, bits1: np.ndarray, bits2: np.ndarray,
+                 constellations) -> tuple[np.ndarray, np.ndarray]:
         """Inference-mode encoding of bit rows to complex symbols: a constellation lookup.
 
-        ``constellations`` is ``encode_constellation(self, sa_tx)`` when the
-        caller has built it already; its points may then hold one alphabet
-        per row, shape (rows, M).
+        ``constellations`` is the pair ``encode_constellation(self, sa_tx)``
+        gives; its points may hold one alphabet per row, shape (rows, M).
         """
-        c1, c2 = constellations or encode_constellation(self, sa_tx)
-        n_bits = self.arch.n_bits
-        return (_lookup(c1, pattern_index(bits1, n_bits)),
-                _lookup(c2, pattern_index(bits2, n_bits)))
+        c1, c2 = constellations
+        return (_lookup(c1, pattern_index(bits1, self.arch.n_bits)),
+                _lookup(c2, pattern_index(bits2, self.arch.n_bits)))
 
     def receive(self, y1: np.ndarray, y2: np.ndarray, knows: CsiInputs,
                 noise_var: float) -> tuple[np.ndarray, np.ndarray]:

@@ -237,7 +237,7 @@ class DaeScheme(Scheme):
 
         rows1, rows2 = (np.reshape(b, (-1, self.n_bits)) for b in (bits1, bits2))
         cons = cons or self.constellations(ctx)
-        x1, x2 = model.transmit(rows1, rows2, ctx.csi.sa_tx, tuple(map(per_row, cons)))
+        x1, x2 = model.transmit(rows1, rows2, tuple(map(per_row, cons)))
         return x1.reshape(shape), x2.reshape(shape)
 
     def detect(self, y1, y2, ctx: ChannelContext, cons):

@@ -321,11 +321,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        out = getattr(args, "out", None)
+        if out and not Path(out).parent.is_dir():  # fail before the work, not after it
+            raise ConfigError(f"--out {out}: directory {Path(out).parent} does not exist")
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, RejectionLimitError, LookupError) as exc:
+    except (ConfigError, RejectionLimitError, LookupError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, LookupError) else 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -1,8 +1,10 @@
 """Finite-difference verification of the end-to-end analytic gradients.
 
 Builds a miniature system (noise disabled so the loss is deterministic),
-backpropagates once, then perturbs every parameter entry with central
-differences and compares.  Used by the selftest command and the test suite.
+backpropagates once (with a frozen ``receive`` and ``encode_constellation``
+between forward and backward), then perturbs every parameter entry with
+central differences and compares.  Used by the selftest command and the
+test suite.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn
-from .autoencoder import TrainConfig, ZicAutoencoder
+from .autoencoder import TrainConfig, ZicAutoencoder, encode_constellation
 from .channel import IMPERFECT, PERFECT, CsiInputs, EquivalentChannel
 
 FD_STEP = 1e-5
@@ -43,6 +45,10 @@ def max_relative_gradient_error(seed: int = 0, batch: int = 16, n_bits: int = 2,
     noise_var = cfg.noise_var(cfg.train_snr_db)
 
     p1, p2 = model.forward(bits1, bits2, eq, knows, noise_var, rng=None)
+    # a probe: inference writes nothing, so these passes must leave the gradients alone
+    y = np.linspace(-2.0, 2.0, 2 * batch) + 0.5j
+    model.receive(y, y[::-1], knows, noise_var)
+    encode_constellation(model, 0.5)
     model.backward(bits1, bits2, p1, p2)
     analytic = [g.copy() for g in model.grads()]
 

@@ -3,16 +3,16 @@
 Arrays are shaped (batch, features).  Training runs on float64: each
 layer's training forward caches what its backward needs, and that backward
 consumes the cache, so a trained network holds only parameters and
-gradients.  The training contract: one backward per forward, layers in
-reverse order, and no other call on a layer (or on a model holding it)
-between the two.  A backward with no cache to consume raises RuntimeError.
-A tanh layer's backward writes over its forward output, which is dead by
-then.  Each layer instance appears exactly once in a computation graph.
-Gradients are summed over the batch (losses carry their own 1/batch factor).
+gradients.  The training contract: call a training forward once before each
+backward, and run the backwards in reverse layer order.  A backward with no
+cache to consume raises RuntimeError.  A tanh layer's backward writes over
+its forward output, which is dead by then.  Each layer instance appears
+exactly once in a computation graph.  Gradients are summed over the batch
+(losses carry their own 1/batch factor).
 
-A ``training=False`` forward of a dense layer (or a residual block) caches
-nothing and computes in its input's dtype, casting the weights per call: the
-frozen receivers run in float32 that way, so a later backward raises.
+A ``training=False`` forward of any layer reads the parameters and writes
+nothing.  A dense layer runs it in its input's dtype, casting the weights
+per call: the frozen receivers run in float32 that way.
 
 Besides the usual dense/residual blocks this module provides the two
 power-related normalizations of the transmitter: a multiplicative-only batch
@@ -37,7 +37,7 @@ def take_cache(owner):
     cache = owner._cache
     if cache is None:
         raise RuntimeError(f"{type(owner).__name__}.backward has no forward cache to "
-                           "consume: call forward once before each backward")
+                           "consume: call a training forward once before each backward")
     owner._cache = None
     return cache
 
@@ -144,25 +144,19 @@ class BatchPowerNorm:
         self._cache = None
 
     def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
-        if training:
-            ms = np.mean(x * x, axis=0)
-            self.running_ms = _MOMENTUM * self.running_ms + (1.0 - _MOMENTUM) * ms
-            floored = ms < _EPS_NORM
-            ms = np.maximum(ms, _EPS_NORM)
-            beta = 1.0 / np.sqrt(ms)
-            self._cache = (beta, (x, ms, floored))
-        else:
-            beta = 1.0 / np.sqrt(np.maximum(self.running_ms, _EPS_NORM))
-            self._cache = (beta, None)
+        if not training:
+            return x * (1.0 / np.sqrt(np.maximum(self.running_ms, _EPS_NORM)))
+        ms = np.mean(x * x, axis=0)
+        self.running_ms = _MOMENTUM * self.running_ms + (1.0 - _MOMENTUM) * ms
+        floored = ms < _EPS_NORM
+        ms = np.maximum(ms, _EPS_NORM)
+        beta = 1.0 / np.sqrt(ms)
+        self._cache = (x, ms, floored, beta)
         return x * beta
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        beta, batch_stat = take_cache(self)
-        if batch_stat is None:  # inference: beta is a constant
-            return grad_out * beta
-        x, ms, floored = batch_stat
-        n = x.shape[0]
-        corr = x * (np.sum(grad_out * x, axis=0) / (n * ms**1.5))
+        x, ms, floored, beta = take_cache(self)
+        corr = x * (np.sum(grad_out * x, axis=0) / (len(x) * ms**1.5))
         return grad_out * beta - np.where(floored, 0.0, corr)
 
 
@@ -175,9 +169,10 @@ class PowerNorm:
         self.total_power = total_power
         self._cache = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         r = np.maximum(np.sqrt(np.sum(x * x, axis=1, keepdims=True)), _EPS_NORM)
-        self._cache = (x, r)
+        if training:
+            self._cache = (x, r)
         return np.sqrt(self.total_power) * x / r
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -63,25 +63,28 @@ def test_transmit_is_deterministic():
 def _per_row_pass(tx, bits, sqrt_alpha, training, grad_x):
     """Reference transmitter that runs net1 on every batch row.
 
-    Returns the forward output and the parameter gradients for the upstream
-    gradient ``grad_x``.
+    Returns the forward output and, when training, the parameter gradients
+    for the upstream gradient ``grad_x`` (None otherwise).
     """
     x = np.asarray(bits, dtype=float)
     if tx.arch.alpha_to_subnet1:
         x = np.concatenate([x, np.full((len(x), 1), sqrt_alpha)], axis=1)
     for layer in tx.net1:
-        x = layer.forward(x)
+        x = layer.forward(x, training)
     xb = tx.bpn.forward(x, training)
     if tx.arch.use_subnet2:
         g = np.array([[sqrt_alpha if tx.arch.alpha_to_subnet2 else 1.0]])
         for layer in tx.net2:
-            g = layer.forward(g)
-        gamma = tx.pnorm.forward(g)
+            g = layer.forward(g, training)
+        gamma = tx.pnorm.forward(g, training)
+    else:
+        gamma = np.full((1, 2), math.sqrt(tx.arch.total_power / 2.0))
+    if not training:
+        return xb * gamma, None
+    if tx.arch.use_subnet2:
         g = tx.pnorm.backward(np.sum(grad_x * xb, axis=0, keepdims=True))
         for layer in reversed(tx.net2):
             g = layer.backward(g)
-    else:
-        gamma = np.full((1, 2), math.sqrt(tx.arch.total_power / 2.0))
     g = tx.bpn.backward(grad_x * gamma)
     for layer in reversed(tx.net1):
         g = layer.backward(g)
@@ -102,9 +105,13 @@ def test_per_pattern_transmitter_matches_per_row_reference(overrides, n_bits, tr
         ref = copy.deepcopy(tx)
         x_ref, grads_ref = _per_row_pass(ref, bits, 0.8, training, grad_x)
         x = tx.forward(bits, 0.8, training)
-        tx.backward(grad_x)
         assert np.max(np.abs(x - x_ref)) <= 1e-12
         assert np.max(np.abs(tx.bpn.running_ms - ref.bpn.running_ms)) <= 1e-12
+        if not training:  # an inference pass leaves nothing to backpropagate through
+            with pytest.raises(RuntimeError, match="Transmitter.backward"):
+                tx.backward(grad_x)
+            continue
+        tx.backward(grad_x)
         # relative to the largest gradient entry: some entries are zero up
         # to rounding (e.g. a lone input bit under the batch normalization)
         scale = max(np.max(np.abs(g)) for g in grads_ref)
@@ -120,7 +127,7 @@ def test_transmitter_rejects_non_bit_inputs(bad):
     with pytest.raises(ValueError, match="0/1"):
         model.tx1.forward(bits, 1.0, training=True)
     with pytest.raises(ValueError, match="0/1"):
-        model.transmit(bits, np.zeros((5, 2)), 1.0)
+        model.transmit(bits, np.zeros((5, 2)), encode_constellation(model, 1.0))
 
 
 def test_transmitter_rejects_wrong_bit_width():
@@ -234,13 +241,46 @@ def test_trained_model_holds_no_batch_activations():
 
 def test_receive_holds_no_activations():
     model, _ = train(TrainConfig(**{**MINI, "n_channels": 2, "epochs_per_channel": 2}))
-    held = {id(a) for a in _reachable_arrays(model)}
+    held = _reachable_arrays(model)
+    kept = [a.copy() for a in held]
     rng = np.random.default_rng(8)
     y1, y2 = (rng.normal(size=4000) + 1j * rng.normal(size=4000) for _ in range(2))
     model.receive(y1, y2, CsiInputs(1.0, 1.0, 1.0), 0.1)
-    # only each receiver's two-float BatchPowerNorm scale is new
-    scales = {id(rx.bpn._cache[0]) for rx in (model.rx1, model.rx2)}
-    assert {id(a) for a in _reachable_arrays(model)} == held | scales
+    encode_constellation(model, 0.95)
+    now = _reachable_arrays(model)
+    assert [id(a) for a in now] == [id(a) for a in held]
+    assert all(np.array_equal(a, k) for a, k in zip(now, kept))
+
+
+def _step_grads(model, bits1, bits2, probe=None):
+    """The gradients of one training step, with ``probe(model)`` between its passes."""
+    p1, p2 = model.forward(bits1, bits2, _unit_channel(), CsiInputs(1.0, 1.0, 1.0), 0.1,
+                           rng=None)
+    if probe is not None:
+        probe(model)
+    model.backward(bits1, bits2, p1, p2)
+    return [g.copy() for g in model.grads()]
+
+
+_Y = np.linspace(-2.0, 2.0, 50) + 0.3j
+INFERENCE_PROBES = {
+    "receive": lambda model: model.receive(_Y, _Y[::-1], CsiInputs(0.9, 0.9, 0.9), 0.2),
+    "encode_constellation": lambda model: encode_constellation(model, 0.7),
+}
+
+
+@pytest.mark.parametrize("probe", list(INFERENCE_PROBES))
+@pytest.mark.parametrize("batch", [64, 4])  # 4 rows: as many as bit patterns
+def test_inference_between_forward_and_backward_leaves_the_gradients(batch, probe):
+    _, model = _mini_model()
+    bits1, bits2 = np.random.default_rng(10).integers(0, 2, size=(2, batch, 2)).astype(float)
+    plain = copy.deepcopy(model)
+    want = _step_grads(plain, bits1, bits2)
+    got = _step_grads(model, bits1, bits2, INFERENCE_PROBES[probe])
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    for net in ("tx1", "tx2", "rx1", "rx2"):
+        assert np.array_equal(getattr(model, net).bpn.running_ms,
+                              getattr(plain, net).bpn.running_ms)
 
 
 @pytest.mark.parametrize("sa_rx", [1.0, np.linspace(0.9, 1.1, 5)], ids=["scalar", "per-row"])
@@ -270,7 +310,7 @@ def test_float32_receivers_decide_as_float64(request, csi_mode, snr_db):
     for alpha in np.linspace(0.9, 1.1, 10):
         ctx = channel_context(cfg, alpha, snr_db, rng)
         bits1, bits2 = rng.integers(0, 2, size=(2, 400, 2))
-        x1, x2 = model.transmit(bits1, bits2, ctx.csi.sa_tx)
+        x1, x2 = model.transmit(bits1, bits2, encode_constellation(model, ctx.csi.sa_tx))
         y1, y2 = apply_channel(ctx.eq, x1, x2, rng)
         assert_float32_agrees(model, y1, y2, ctx.csi, ctx.noise_var)
 
@@ -377,7 +417,7 @@ def test_noiseless_self_decoding_after_convergence(desk_model):
     rng = np.random.default_rng(21)
     bits1 = rng.integers(0, 2, size=(4096, 2)).astype(float)
     bits2 = rng.integers(0, 2, size=(4096, 2)).astype(float)
-    x1, x2 = desk_model.transmit(bits1, bits2, 1.0)
+    x1, x2 = desk_model.transmit(bits1, bits2, encode_constellation(desk_model, 1.0))
     y1 = x1 + 1.0 * x2
     y2 = x2
     knows = CsiInputs(sa_tx=1.0, sa_rx1=1.0, sa_rx2=1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zicae import autoencoder, bersim
-from zicae.autoencoder import TrainConfig, ZicAutoencoder, train
+from zicae.autoencoder import TrainConfig, ZicAutoencoder, encode_constellation, train
 from zicae.bersim import (
     Baseline1,
     Baseline2,
@@ -321,7 +321,8 @@ def test_block_dae_transmit_equals_per_draw_transmit(mode):
     x1, x2 = scheme.transmit(bits1, bits2, block, scheme.constellations(block))
     assert np.array_equal((x1, x2), scheme.transmit(bits1, bits2, block))
     for d in range(6):
-        ref1, ref2 = model.transmit(bits1[d], bits2[d], _draw_csi(ctx, d).sa_tx)
+        ref1, ref2 = model.transmit(bits1[d], bits2[d],
+                                    encode_constellation(model, _draw_csi(ctx, d).sa_tx))
         assert np.array_equal(x1[d], ref1) and np.array_equal(x2[d], ref2)
 
 

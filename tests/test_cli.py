@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from zicae import bersim, cli, modelio
 from zicae.autoencoder import TrainConfig
 from zicae.bersim import EvalConfig
 from zicae.cli import CONFIG_KEYS, main
@@ -56,6 +57,29 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, command, extra):
     assert rc == 2
     err = capsys.readouterr().err
     assert "typo.cfg:2" in err and "'n_chanel_draws'" in err
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("train", ["--config", "t.cfg"]),
+    ("eval", ["--config", "e.cfg", "--scheme", "baseline1"]),
+    ("ablation", ["--config", "a.cfg"]),
+    ("export-constellation", ["--model", "m.zicmodel", "--alpha", "1.0"]),
+], ids=["train", "eval", "ablation", "export-constellation"])
+def test_missing_out_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                       command, extra):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the --out check")
+
+    for owner, name in ((cli, "train"), (bersim, "sweep"), (modelio, "load_model")):
+        monkeypatch.setattr(owner, name, refuse)
+    for name, text in (("t.cfg", TINY_TRAIN), ("e.cfg", EVAL_CFG), ("a.cfg", ABLATION_CFG)):
+        _write(tmp_path, name, text)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "nodir" / "out.csv"
+    rc = main([command, *extra, "--out", str(out)])
+    assert rc == 2
+    assert str(out) in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 def test_train_zero_channels_writes_valid_model(tmp_path):

@@ -204,9 +204,8 @@ def test_batch_power_norm_backward_consumes_its_forward(training):
     with pytest.raises(RuntimeError, match="BatchPowerNorm.backward"):
         bpn.backward(x)
     bpn.forward(x, training)
-    dx = bpn.backward(x)
-    if not training:  # the frozen scale, still the initial 1, passes straight through
-        assert np.array_equal(dx, x)
+    if training:  # an inference pass leaves nothing to backpropagate through
+        bpn.backward(x)
     with pytest.raises(RuntimeError, match="BatchPowerNorm.backward"):
         bpn.backward(x)
 
