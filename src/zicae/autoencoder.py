@@ -321,6 +321,8 @@ class ZicAutoencoder:
 
         ``y1``/``y2`` are 1-D; the fields of ``knows`` are scalars or, when
         the rows come from several channel draws, one value per row.
+        ``noise_var`` is the noise power that the receivers' input scale
+        assumes; ``DaeScheme`` passes the one of ``arch.train_snr_db``.
         """
         p1, p2 = self._receive(np.stack([y1.real, y1.imag], axis=1),
                                np.stack([y2.real, y2.imag], axis=1), knows, noise_var,

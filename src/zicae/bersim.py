@@ -241,8 +241,10 @@ class DaeScheme(Scheme):
         return x1.reshape(shape), x2.reshape(shape)
 
     def detect(self, y1, y2, ctx: ChannelContext, cons):
-        """The routed model's receivers, in slices of at most ``_DECODE_ROWS`` rows."""
+        """The routed model's receivers, in slices of at most ``_DECODE_ROWS`` rows,
+        their inputs scaled for the noise power of the model's training SNR."""
         model = self.route(ctx.alpha)
+        noise_var = model.arch.noise_var(model.arch.train_snr_db)
         shape = np.shape(y1)
         per_row = {f.name: np.broadcast_to(v, shape).ravel() for f in fields(ctx.csi)
                    if (v := getattr(ctx.csi, f.name)) is not None}
@@ -252,7 +254,7 @@ class DaeScheme(Scheme):
         for start in range(0, len(y1), step):
             rows = slice(start, start + step)
             knows = replace(ctx.csi, **{k: v[rows] for k, v in per_row.items()})
-            hats.append(model.receive(y1[rows], y2[rows], knows, ctx.noise_var))
+            hats.append(model.receive(y1[rows], y2[rows], knows, noise_var))
         return tuple(np.concatenate(h).reshape(shape + (-1,)) for h in zip(*hats))
 
 

@@ -81,20 +81,23 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def write_manifest(path, command: str, run_id: str, config_digest: str, seed: int,
-                   inputs: dict, outputs: dict, started: str) -> None:
+def write_manifest(args, run_id: str, cfg, inputs: list, outputs: list) -> None:
+    """Write ``<--out>.manifest.json``: the run's command, id, start and finish
+    times, the digest and seed of ``cfg`` (``"-"`` and 0 without one), and the
+    sha256 of each file the run read and wrote."""
     manifest = {
-        "command": command,
+        "command": args.command,
         "run_id": run_id,
-        "config_digest": config_digest,
-        "seed": seed,
-        "inputs": {str(k): v for k, v in inputs.items()},
-        "outputs": {str(k): v for k, v in outputs.items()},
-        "started": started,
+        "config_digest": "-" if cfg is None else
+                         hashlib.sha256(cfg.config_text().encode()).hexdigest(),
+        "seed": 0 if cfg is None else cfg.seed,
+        "inputs": {str(p): modelio.file_sha256(p) for p in inputs},
+        "outputs": {str(p): modelio.file_sha256(p) for p in outputs},
+        "started": args.started,
         "finished": _now(),
     }
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    Path(f"{args.out}.manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _write_text(path, text: str) -> None:
@@ -106,9 +109,7 @@ def _write_text(path, text: str) -> None:
 
 
 def cmd_train(args) -> int:
-    started = _now()
-    raw = parse_config_file(args.config)
-    cfg = config_from(TrainConfig, raw, args.seed)
+    cfg = config_from(TrainConfig, parse_config_file(args.config), args.seed)
     log.info("training: %d channels x %d epochs, batch %d, alpha [%g, %g], %s CSI",
              cfg.n_channels, cfg.epochs_per_channel, cfg.batch,
              cfg.alpha_min, cfg.alpha_max, cfg.csi_mode)
@@ -121,15 +122,8 @@ def cmd_train(args) -> int:
                  for r in history]
     log_path = Path(f"{out}.train.csv")
     _write_text(log_path, "\n".join(log_rows) + "\n")
-
-    config_text = cfg.config_text()
-    digest = hashlib.sha256(config_text.encode()).hexdigest()
-    run_id = _run_id("train", config_text)
-    write_manifest(Path(f"{out}.manifest.json"), "train", run_id,
-                   digest, cfg.seed, inputs={args.config: modelio.file_sha256(args.config)},
-                   outputs={out: modelio.file_sha256(out),
-                            log_path: modelio.file_sha256(log_path)},
-                   started=started)
+    write_manifest(args, _run_id("train", cfg.config_text()), cfg, [args.config],
+                   [out, log_path])
     log.info("model written to %s", out)
     return 0
 
@@ -175,30 +169,22 @@ def _build_scheme(args, cfg: EvalConfig):
 
 
 def cmd_eval(args) -> int:
-    started = _now()
     _check_eval_args(args)
-    raw = parse_config_file(args.config)
-    cfg = config_from(EvalConfig, raw, args.seed)
+    cfg = config_from(EvalConfig, parse_config_file(args.config), args.seed)
     scheme, model_paths = _build_scheme(args, cfg)
 
     log.info("evaluating %s on %d grid points, %d channel draws each", args.scheme,
              len(cfg.snr_grid_db) * len(cfg.alpha_grid), cfg.n_channel_draws)
     result = bersim.sweep(cfg, scheme)
 
-    model_hashes = {p: modelio.file_sha256(p) for p in model_paths}
-    config_text = cfg.config_text()
-    run_id = _run_id("eval", args.scheme, config_text, *sorted(model_hashes.values()))
+    run_id = _run_id("eval", args.scheme, cfg.config_text(),
+                     *sorted(map(modelio.file_sha256, model_paths)))
     _write_text(args.out, bersim.result_to_csv(result, run_id))
-    digest = hashlib.sha256(config_text.encode()).hexdigest()
-    inputs = {args.config: modelio.file_sha256(args.config), **model_hashes}
-    write_manifest(Path(f"{args.out}.manifest.json"),
-                   "eval", run_id, digest, cfg.seed, inputs,
-                   {args.out: modelio.file_sha256(args.out)}, started)
+    write_manifest(args, run_id, cfg, [args.config, *model_paths], [args.out])
     return 0
 
 
 def cmd_export_constellation(args) -> int:
-    started = _now()
     model = modelio.load_model(args.model)
     if not model.covers(args.alpha):
         print(f"error: alpha={args.alpha:g} outside the trained interval "
@@ -211,10 +197,7 @@ def cmd_export_constellation(args) -> int:
             lines.append(f"{user},{pattern},{re!r},{im!r}")
     _write_text(args.out, "\n".join(lines) + "\n")
     run_id = _run_id("export", modelio.file_sha256(args.model), repr(args.alpha))
-    write_manifest(Path(f"{args.out}.manifest.json"),
-                   "export-constellation", run_id, "-", 0,
-                   {args.model: modelio.file_sha256(args.model)},
-                   {args.out: modelio.file_sha256(args.out)}, started)
+    write_manifest(args, run_id, None, [args.model], [args.out])
     return 0
 
 
@@ -228,7 +211,6 @@ ABLATION_REFUSED_KEYS = frozenset({"snr_grid_db", "alpha_grid"}.union(
 
 
 def cmd_ablation(args) -> int:
-    started = _now()
     raw = parse_config_file(args.config)
     for key in raw:
         if key in ABLATION_REFUSED_KEYS:
@@ -258,12 +240,8 @@ def cmd_ablation(args) -> int:
         lines.append(f"{alpha!r}," + ",".join(cells))
     _write_text(args.out, "\n".join(lines) + "\n")
 
-    run_id = _run_id("ablation", base.config_text())
-    write_manifest(Path(f"{args.out}.manifest.json"),
-                   "ablation", run_id,
-                   hashlib.sha256(base.config_text().encode()).hexdigest(),
-                   base.seed, {args.config: modelio.file_sha256(args.config)},
-                   {args.out: modelio.file_sha256(args.out)}, started)
+    write_manifest(args, _run_id("ablation", base.config_text()), base, [args.config],
+                   [args.out])
     return 0
 
 
@@ -321,9 +299,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        out = getattr(args, "out", None)
-        if out and not Path(out).parent.is_dir():  # fail before the work, not after it
+        out = getattr(args, "out", None)  # fail before the work, not after it
+        if out and Path(out).is_dir():
+            raise ConfigError(f"--out {out} is a directory; name a file")
+        if out and not Path(out).parent.is_dir():
             raise ConfigError(f"--out {out}: directory {Path(out).parent} does not exist")
+        args.started = _now()
         return args.func(args)
     except (ConfigError, RejectionLimitError, LookupError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

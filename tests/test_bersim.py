@@ -292,14 +292,14 @@ def test_run_point_splits_symbols_evenly_over_draws():
     assert run_point(Baseline1(2), ctx, 99, np.random.default_rng(0))[2] == 99 * 2
 
 
-def _dae_draws(mode):
-    """A small trained model and a 6-draw context under ``mode``'s CSI."""
+def _dae_draws(mode, snr_db=10.0):
+    """A small model trained at 10 dB and a 6-draw context under ``mode``'s CSI."""
     model, _ = train(TrainConfig(n_channels=3, epochs_per_channel=2, batch=64, hidden_width=8,
                                  subnet2_width=4, alpha_min=0.5, alpha_max=1.5, csi_mode=mode,
                                  sigma_e2=0.05, seed=4))
     cfg = ChannelConfig(csi_mode=mode, sigma_e2=0.05, n_q=2)
     rng = np.random.default_rng(5)
-    return model, stack_contexts([channel_context(cfg, 1.0, 10.0, rng) for _ in range(6)])
+    return model, stack_contexts([channel_context(cfg, 1.0, snr_db, rng) for _ in range(6)])
 
 
 def _draw_csi(ctx, d):
@@ -326,9 +326,11 @@ def test_block_dae_transmit_equals_per_draw_transmit(mode):
         assert np.array_equal(x1[d], ref1) and np.array_equal(x2[d], ref2)
 
 
-@pytest.mark.parametrize("mode", ["perfect", "imperfect"])
-def test_block_dae_decode_equals_per_draw_receive(mode):
-    model, ctx = _dae_draws(mode)
+@pytest.mark.parametrize("mode,snr_db", [
+    pytest.param(mode, snr_db, id=mode + ("" if snr_db == 10.0 else f"-{snr_db:g}dB"))
+    for snr_db in (10.0, 20.0) for mode in ("perfect", "imperfect")])
+def test_block_dae_decode_equals_per_draw_receive(mode, snr_db):
+    model, ctx = _dae_draws(mode, snr_db)
     block = ctx.block(slice(0, 6))
     rng = np.random.default_rng(6)
     n = 300  # 1800 rows: receiver slices of 512 rows cross draw boundaries
@@ -338,8 +340,19 @@ def test_block_dae_decode_equals_per_draw_receive(mode):
     hat1, hat2 = scheme.detect(y1, y2, block, scheme.constellations(block))
     assert hat1.shape == hat2.shape == (6, n, 2)
     for d in range(6):
-        ref1, ref2 = model.receive(y1[d], y2[d], _draw_csi(ctx, d), ctx.noise_var)
+        ref1, ref2 = model.receive(y1[d], y2[d], _draw_csi(ctx, d),
+                                   model.arch.noise_var(model.arch.train_snr_db))
         assert np.array_equal(hat1[d], ref1) and np.array_equal(hat2[d], ref2)
+
+
+def test_dae_ber_falls_above_the_training_snr(desk_model):
+    # the receivers scale their inputs for the 10 dB the model was trained at
+    worst = {}
+    for snr_db in (10.0, 15.0, 20.0):
+        e1, e2, bits = run_point(DaeScheme([desk_model]), ideal_context(1.0, snr_db), 100_000,
+                                 np.random.default_rng(99))
+        worst[snr_db] = max(e1, e2) / bits
+    assert worst[15.0] < worst[10.0] and worst[20.0] < worst[10.0], worst
 
 
 def test_dae_builds_constellations_once_per_point_round(monkeypatch):

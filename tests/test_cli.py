@@ -1,6 +1,8 @@
+import hashlib
 import json
 import re
 from dataclasses import fields
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -59,14 +61,19 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, command, extra):
     assert "typo.cfg:2" in err and "'n_chanel_draws'" in err
 
 
-@pytest.mark.parametrize("command,extra", [
-    ("train", ["--config", "t.cfg"]),
-    ("eval", ["--config", "e.cfg", "--scheme", "baseline1"]),
-    ("ablation", ["--config", "a.cfg"]),
-    ("export-constellation", ["--model", "m.zicmodel", "--alpha", "1.0"]),
-], ids=["train", "eval", "ablation", "export-constellation"])
+OUT_CHECK_COMMANDS = {
+    "train": ["--config", "t.cfg"],
+    "eval": ["--config", "e.cfg", "--scheme", "baseline1"],
+    "ablation": ["--config", "a.cfg"],
+    "export-constellation": ["--model", "m.zicmodel", "--alpha", "1.0"],
+}
+
+
+@pytest.mark.parametrize("command,extra,existing_dir", [
+    pytest.param(command, extra, existing_dir, id=command + ("-directory" * existing_dir))
+    for existing_dir in (False, True) for command, extra in OUT_CHECK_COMMANDS.items()])
 def test_missing_out_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
-                                                       command, extra):
+                                                       command, extra, existing_dir):
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the --out check")
 
@@ -75,11 +82,16 @@ def test_missing_out_directory_exits_2_before_any_work(tmp_path, capsys, monkeyp
     for name, text in (("t.cfg", TINY_TRAIN), ("e.cfg", EVAL_CFG), ("a.cfg", ABLATION_CFG)):
         _write(tmp_path, name, text)
     monkeypatch.chdir(tmp_path)
-    out = tmp_path / "nodir" / "out.csv"
+    out = tmp_path / "outdir" if existing_dir else tmp_path / "nodir" / "out.csv"
+    if existing_dir:
+        out.mkdir()
     rc = main([command, *extra, "--out", str(out)])
     assert rc == 2
     assert str(out) in capsys.readouterr().err
-    assert not out.parent.exists()
+    if existing_dir:
+        assert list(out.iterdir()) == []
+    else:
+        assert not out.parent.exists()
 
 
 def test_train_zero_channels_writes_valid_model(tmp_path):
@@ -303,6 +315,70 @@ def test_ablation_refuses_keys_it_sets_itself(tmp_path, capsys, line):
     assert rc == 2
     assert repr(line.split()[0]) in capsys.readouterr().err
     assert not out.exists()
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _run_id(*parts: str) -> str:
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("command", ["train", "eval-baseline2", "eval-dae",
+                                     "export-constellation", "ablation"])
+def test_manifest_records_config_seed_and_file_hashes(tmp_path, command):
+    t_cfg = _write(tmp_path, "t.cfg", TINY_TRAIN)
+    e_cfg = _write(tmp_path, "e.cfg", EVAL_CFG.replace("alpha_grid = 0, 0.5, 1",
+                                                       "alpha_grid = 1.0"))
+    a_cfg = _write(tmp_path, "a.cfg", ABLATION_CFG)
+    model, out = tmp_path / "m.zicmodel", tmp_path / "out.csv"
+    if command != "train":
+        assert main(["train", "--config", str(t_cfg), "--out", str(model)]) == 0
+
+    def config_text(cls, path):
+        return cli.config_from(cls, cli.parse_config_file(path)).config_text()
+
+    if command == "train":
+        argv = ["train", "--config", str(t_cfg), "--out", str(model)]
+        text, seed = config_text(TrainConfig, t_cfg), 1
+        run_id = _run_id("train", text)
+        inputs, outputs = [t_cfg], [model, Path(f"{model}.train.csv")]
+    elif command.startswith("eval"):
+        scheme = command.removeprefix("eval-")
+        models = [model] if scheme == "dae" else []
+        argv = ["eval", "--config", str(e_cfg), "--scheme", scheme,
+                *(["--model", str(model)] if models else []), "--out", str(out)]
+        text, seed = config_text(EvalConfig, e_cfg), 3
+        run_id = _run_id("eval", scheme, text, *map(_sha256, models))
+        inputs, outputs = [e_cfg, *models], [out]
+    elif command == "export-constellation":
+        argv = ["export-constellation", "--model", str(model), "--alpha", "1.0",
+                "--out", str(out)]
+        text, seed = None, 0
+        run_id = _run_id("export", _sha256(model), repr(1.0))
+        inputs, outputs = [model], [out]
+    else:
+        argv = ["ablation", "--config", str(a_cfg), "--out", str(out)]
+        text, seed = config_text(TrainConfig, a_cfg), 2
+        run_id = _run_id("ablation", text)
+        inputs, outputs = [a_cfg], [out]
+
+    assert main(argv) == 0
+    manifest = json.loads(Path(f"{argv[-1]}.manifest.json").read_text(encoding="utf-8"))
+    assert set(manifest) == {"command", "run_id", "config_digest", "seed", "inputs",
+                             "outputs", "started", "finished"}
+    assert manifest["command"] == argv[0]
+    assert manifest["run_id"] == run_id
+    if command.startswith("eval"):
+        assert out.read_text().splitlines()[0] == f"# run: {run_id}"
+    assert manifest["config_digest"] == (
+        "-" if text is None else hashlib.sha256(text.encode()).hexdigest())
+    assert manifest["seed"] == seed
+    assert manifest["inputs"] == {str(p): _sha256(p) for p in inputs}
+    assert manifest["outputs"] == {str(p): _sha256(p) for p in outputs}
+    started, finished = (datetime.fromisoformat(manifest[k]) for k in ("started", "finished"))
+    assert started <= finished
 
 
 HARSH_ESTIMATION = "csi_mode = imperfect\nsigma_e2 = 2\nthreshold_t = 0.05\n"

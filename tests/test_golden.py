@@ -99,9 +99,9 @@ GOLDEN = {
     "eval-baseline2-perfect.csv":
         "49386feeaec37ac030d12586baab747432586cdf26021d9dc7269998b7a1aeca",
     "eval-dae-imperfect.csv":
-        "f33f71aff15f66227c58b47603e46d3572ba3e6dbb874d5f8ee991661fce2f22",
+        "28893053658788c51f4699c0e9eff13fd3ac56604cbf3f527cfaf01656f02879",
     "eval-dae-perfect.csv":
-        "db45d32a9fb409f7a9aa02b1fef75c109a2a2b56f4f27d9c4e58d646acd5e9a6",
+        "ec241417a8d5ee9fccb18f8a52fdaa83e3bef438881b1f34d04502352dd04395",
     "imperfect.zicmodel":
         "d1b859022cbe4fd431a0e9e0b1866dd778d3386eea6c24facc0bdfe97e15296a",
     "imperfect.zicmodel.train.csv":
