@@ -77,12 +77,6 @@ class BerPoint:
 class BerResult:
     points: list[BerPoint] = field(default_factory=list)
 
-    def mean_worst(self) -> float:
-        return float(np.mean([p.ber_worst for p in self.points]))
-
-    def grid(self) -> list[tuple[float, float]]:
-        return [(p.snr_db, p.alpha) for p in self.points]
-
 
 CSV_HEADER = "scheme,snr_db,alpha,ber1,ber2,ber_worst,stderr,n_bits"
 
@@ -362,13 +356,3 @@ def sweep(cfg: EvalConfig, scheme) -> BerResult:
             index += 1
     return result
 
-
-def compare_reduction(result_a: BerResult, result_b: BerResult) -> float:
-    """Percentage reduction of mean worst-case BER of ``a`` relative to ``b``."""
-    if result_a.grid() != result_b.grid():
-        raise ValueError("results cover different grids")
-    mean_a = result_a.mean_worst()
-    mean_b = result_b.mean_worst()
-    if mean_b == 0.0:
-        return 0.0
-    return 100.0 * (mean_b - mean_a) / mean_b

@@ -131,8 +131,9 @@ class ChannelConfig:
     through :meth:`config_items` and :meth:`from_config`.
     """
 
-    # above 6 bits, Baseline2's rotation search builds (M1*M2)^2 arrays (over 4 GB
-    # at 7); above 52 feedback bits a segment is finer than float64 spacing
+    # above 6 bits, Baseline2's rotation search compares ~(M1*M2)^2/2 point pairs at
+    # each of 90 angles (about 2 minutes per fed-back intensity at 7); above 52
+    # feedback bits a segment is finer than float64 spacing
     n_bits: int = rule(2, 1, 6)
     total_power: float = rule(1.0, 0, open_lo=True)
     seed: int = rule(0, 0)

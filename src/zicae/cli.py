@@ -187,9 +187,8 @@ def cmd_eval(args) -> int:
 def cmd_export_constellation(args) -> int:
     model = modelio.load_model(args.model)
     if not model.covers(args.alpha):
-        print(f"error: alpha={args.alpha:g} outside the trained interval "
-              f"[{model.arch.alpha_min:g}, {model.arch.alpha_max:g}]", file=sys.stderr)
-        return 1
+        raise LookupError(f"alpha={args.alpha:g} outside the trained interval "
+                          f"[{model.arch.alpha_min:g}, {model.arch.alpha_max:g}]")
     c1, c2 = encode_constellation(model, math.sqrt(args.alpha))
     lines = ["user,bits,re,im"]
     for user, c in ((1, c1), (2, c2)):
@@ -245,11 +244,6 @@ def cmd_ablation(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    from . import selftest
-    return selftest.run_all()
-
-
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
 
@@ -286,9 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_ablation)
-
-    p = sub.add_parser("selftest", help="run the built-in property suites")
-    p.set_defaults(func=cmd_selftest)
     return parser
 
 
@@ -299,10 +290,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        out = getattr(args, "out", None)  # fail before the work, not after it
-        if out and Path(out).is_dir():
+        out = args.out  # fail before the work, not after it
+        if Path(out).is_dir():
             raise ConfigError(f"--out {out} is a directory; name a file")
-        if out and not Path(out).parent.is_dir():
+        if not Path(out).parent.is_dir():
             raise ConfigError(f"--out {out}: directory {Path(out).parent} does not exist")
         args.started = _now()
         return args.func(args)

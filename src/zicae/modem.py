@@ -100,13 +100,35 @@ def composite_points(c1: Constellation, c2: Constellation, cross) -> np.ndarray:
     return comp.reshape(comp.shape[:-2] + (-1,))
 
 
+# composite points per block of composite_min_distance: a block's differences
+# take 64 KB, which the allocator reuses instead of mapping fresh pages each time
+BLOCK_POINTS = 64
+
+
+@functools.cache
+def _upper_labels(step: int, m2: int) -> np.ndarray:
+    """Mask of a diagonal block's point pairs whose c1 labels satisfy a < b."""
+    labels = np.arange(step) // m2
+    return labels[:, None] < labels
+
+
 def composite_min_distance(c1: Constellation, c2: Constellation, cross: complex) -> float:
-    """Minimum distance between composite points with different c1 labels."""
+    """Minimum distance between composite points with different c1 labels.
+
+    The points are compared in blocks of ``BLOCK_POINTS``, or of one c1
+    label if that holds more, each pair of labels a < b once.  Up to 3 bits
+    per alphabet, all points form one block.
+    """
     comp = composite_points(c1, c2, cross)
-    labels = np.repeat(np.arange(c1.size), c2.size)
-    diff = np.abs(comp[:, None] - comp[None, :])
-    other = labels[:, None] != labels[None, :]
-    return float(diff[other].min())
+    step = max(c2.size, min(comp.size, BLOCK_POINTS))
+    upper = _upper_labels(step, c2.size)
+    best = np.inf
+    for i in range(0, comp.size, step):
+        rows = comp[i:i + step, None]
+        best = min(best, np.abs(rows - comp[i:i + step])[upper].min(initial=np.inf))
+        for j in range(i + step, comp.size, step):
+            best = min(best, np.abs(rows - comp[j:j + step]).min())
+    return float(best)
 
 
 ROTATION_STEPS = 90  # grid points of the rotation search over [0, pi/2)

@@ -3,17 +3,17 @@
 Builds a miniature system (noise disabled so the loss is deterministic),
 backpropagates once (with a frozen ``receive`` and ``encode_constellation``
 between forward and backward), then perturbs every parameter entry with
-central differences and compares.  Used by the selftest command and the
-test suite.
+central differences and compares.  The reference behind acceptance
+criterion C1.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import nn
-from .autoencoder import TrainConfig, ZicAutoencoder, encode_constellation
-from .channel import IMPERFECT, PERFECT, CsiInputs, EquivalentChannel
+from zicae import nn
+from zicae.autoencoder import TrainConfig, ZicAutoencoder, encode_constellation
+from zicae.channel import IMPERFECT, PERFECT, CsiInputs, EquivalentChannel
 
 FD_STEP = 1e-5
 

@@ -23,7 +23,6 @@ from zicae.bersim import (
     BerPoint,
     BerResult,
     DaeScheme,
-    compare_reduction,
     ideal_context,
     run_point,
 )
@@ -38,9 +37,9 @@ from zicae.channel import (
     normalize_perfect,
     quantize,
 )
-from zicae.gradcheck import max_relative_gradient_error
 from zicae.modem import standard_qam
-from conftest import DESK_CFG
+from conftest import DESK_CFG, compare_reduction
+from gradcheck import max_relative_gradient_error
 
 
 def qfunc(x):

@@ -17,9 +17,8 @@ from zicae.autoencoder import (
     train,
 )
 from zicae.bersim import DaeScheme, ideal_context
-from zicae.channel import EquivalentChannel, apply_channel, channel_context
+from zicae.channel import IMPERFECT, EquivalentChannel, apply_channel, channel_context
 from zicae.modem import bits_to_index
-from zicae.selftest import assert_float32_agrees
 
 MINI = dict(n_channels=0, batch=64, hidden_width=8, subnet2_width=4,
             alpha_min=0.9, alpha_max=1.1)
@@ -42,6 +41,8 @@ def test_transmit_power_constraint_in_training_mode():
         bits = rng.integers(0, 2, size=(64, 2)).astype(float)
         x = model.tx1.forward(bits, 1.0, training=True)
         assert np.mean(np.sum(x * x, axis=1)) == pytest.approx(cfg.total_power, abs=1e-9)
+        _, _, gamma = model.tx1._cache  # the power branch's split between the two axes
+        assert float(np.sum(gamma * gamma)) == pytest.approx(cfg.total_power, abs=1e-12)
 
 
 def test_transmit_without_power_branch_splits_evenly():
@@ -292,6 +293,46 @@ def test_frozen_receiver_runs_in_float32(sa_rx):
     assert model.rx1._cache is None
 
 
+def float64_probs(model: ZicAutoencoder, y1, y2, knows: CsiInputs, noise_var: float):
+    """Both frozen receivers' bit probabilities in float64, the training arithmetic.
+
+    A reference for the float32 inference path: the input columns are built
+    as the receivers build them, then run through their layers uncast.
+    """
+    arch = model.arch
+    extras1 = [knows.sa_rx1] if arch.alpha_to_rx else []
+    if arch.csi_mode == IMPERFECT:
+        extras1.append(knows.theta_delta)
+    extras2 = [knows.sa_rx2] if arch.alpha_to_rx else []
+    probs = []
+    for rx, y, extras, p_desired in (
+            (model.rx1, y1, extras1, (1.0 + knows.sa_rx1**2) * arch.total_power),
+            (model.rx2, y2, extras2, arch.total_power)):
+        eta = np.broadcast_to(receiver_scale(p_desired, noise_var), len(y))[:, None]
+        x = np.column_stack([rx.bpn.forward(np.stack([y.real, y.imag], axis=1), False) * eta]
+                            + [np.broadcast_to(v, len(y)) for v in extras])
+        for layer in rx.net:
+            x = layer.forward(x, training=False)
+        probs.append(x)
+    return probs
+
+
+def assert_float32_agrees(model: ZicAutoencoder, y1, y2, knows: CsiInputs,
+                          noise_var: float, tol: float = 1e-5) -> None:
+    """Float32 probabilities within ``tol`` of float64, and decisions flipped only
+    where the float64 probability is within ``tol`` of 0.5."""
+    got = model._receive(np.stack([y1.real, y1.imag], axis=1),
+                         np.stack([y2.real, y2.imag], axis=1), knows, noise_var,
+                         training=False)
+    hats = model.receive(y1, y2, knows, noise_var)
+    for p32, p64, hat in zip(got, float64_probs(model, y1, y2, knows, noise_var), hats):
+        assert p32.dtype == np.float32, f"inference ran in {p32.dtype}"
+        dp = float(np.max(np.abs(p32 - p64)))
+        assert dp <= tol, f"float32 probabilities differ by {dp:.2e}"
+        flipped = hat != (p64 > 0.5)
+        assert np.all(np.abs(p64[flipped] - 0.5) < tol), "a clear decision flipped"
+
+
 @pytest.fixture(scope="module")
 def imperfect_model():
     model, _ = train(TrainConfig(n_channels=100, epochs_per_channel=10, batch=500,
@@ -313,6 +354,13 @@ def test_float32_receivers_decide_as_float64(request, csi_mode, snr_db):
         x1, x2 = model.transmit(bits1, bits2, encode_constellation(model, ctx.csi.sa_tx))
         y1, y2 = apply_channel(ctx.eq, x1, x2, rng)
         assert_float32_agrees(model, y1, y2, ctx.csi, ctx.noise_var)
+    # an untrained model on random samples, with per-row intensity and phase
+    untrained = ZicAutoencoder(TrainConfig(n_channels=0, hidden_width=16, subnet2_width=8,
+                                           csi_mode=csi_mode), rng)
+    y1, y2 = (rng.normal(size=1000) + 1j * rng.normal(size=1000) for _ in range(2))
+    knows = CsiInputs(1.0, rng.uniform(0.0, 1.5, 1000), 1.0,
+                      rng.uniform(-0.4, 0.4, 1000) if csi_mode == IMPERFECT else None)
+    assert_float32_agrees(untrained, y1, y2, knows, untrained.arch.noise_var(snr_db))
 
 
 def test_ablation_parameter_counts():

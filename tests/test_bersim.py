@@ -12,7 +12,6 @@ from zicae.bersim import (
     BerResult,
     DaeScheme,
     EvalConfig,
-    compare_reduction,
     draw_context,
     evaluate_point,
     ideal_context,
@@ -29,6 +28,7 @@ from zicae.channel import (
     stack_contexts,
 )
 from zicae.modem import Constellation, detect_rx1, detect_rx2
+from conftest import compare_reduction
 
 
 def qfunc(x):

@@ -179,10 +179,14 @@ def test_quantize_idempotent_and_clamps():
     rng = np.random.default_rng(12)
     lo, hi = THETA_RANGE
     for n_bits in range(1, 9):
-        for v in rng.uniform(-5, 5, 200):
+        w = (hi - lo) / 2**n_bits
+        for v in rng.uniform(-5, 5, 2000):
             out = quantize(v, n_bits, lo, hi)
             assert quantize(out, n_bits, lo, hi) == out
             assert lo < out < hi
+            k = round((out - lo) / w - 0.5)  # the segment, whose midpoint ``out`` must be
+            assert 0 <= k < 2**n_bits
+            assert abs(out - (lo + (k + 0.5) * w)) < 1e-12
     assert quantize(99.0, 2, 0.0, 1.0) == quantize(1.0, 2, 0.0, 1.0)
     assert quantize(-99.0, 2, 0.0, 1.0) == quantize(0.0, 2, 0.0, 1.0)
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import re
@@ -513,12 +514,20 @@ def test_ablation_has_no_threads_option(tmp_path):
               "--threads", "2"])
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_config_paragraph_names_every_config_key():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     paragraph = next(p for p in readme.split("\n\n") if p.startswith("Training keys"))
     named = {token.split("=")[0] for token in re.findall(r"`([^`]+)`", paragraph)}
     assert named == CONFIG_KEYS
 
 
-def test_selftest_passes():
-    assert main(["selftest"]) == 0
+def test_readme_command_block_names_every_subcommand():
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    named = re.findall(r"^zicae (\S+)", block, re.M)
+    subcommands = next(a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(named) == set(subcommands)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,40 @@ def test_best_rotation_invariant_under_relabeling():
     c1_shuffled = Constellation(c1.points[perm1], 2)
     assert best_rotation(c1, c2, 0.8) == best_rotation(c1_shuffled, c2, 0.8)
 
+
+
+def _full_matrix_min_distance(c1, c2, cross):
+    """Every pair of composite points at once under a label mask: the unblocked reference."""
+    comp = composite_points(c1, c2, cross)
+    labels = np.repeat(np.arange(c1.size), c2.size)
+    diff = np.abs(comp[:, None] - comp[None, :])
+    return float(diff[labels[:, None] != labels[None, :]].min())
+
+
+# one block up to 3 bits each, several labels per block, one label per block at 6 bits
+@pytest.mark.parametrize("n1,n2", [(1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (5, 3), (3, 5),
+                                   (1, 6), (2, 6)])
+def test_blocked_min_distance_equals_the_full_matrix(n1, n2):
+    c1, c2 = standard_qam(n1), standard_qam(n2)
+    angles = [k * (np.pi / 2.0) / modem.ROTATION_STEPS for k in range(modem.ROTATION_STEPS)]
+    thetas = angles if n1 + n2 <= 8 else angles[::30]
+    for sa in (0.3, 0.7, 1.0, 1.4):
+        dmin = [_full_matrix_min_distance(c1, c2, sa * cmath.exp(1j * theta)) for theta in thetas]
+        for theta, d in zip(thetas, dmin):
+            assert composite_min_distance(c1, c2, sa * cmath.exp(1j * theta)) == d
+        if thetas is angles:  # the first of the largest distances wins
+            assert best_rotation(c1, c2, sa) == angles[dmin.index(max(dmin))]
+
+
+def test_rotation_search_memory_stays_in_blocks():
+    c = standard_qam(4)
+    tracemalloc.start()
+    try:
+        best_rotation(c, c, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024, f"rotation search peaked at {peak / 1024:.0f} KB"
 
 def test_detect_rx1_exact_hit():
     c1 = standard_qam(2, 1.0)
