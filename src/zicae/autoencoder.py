@@ -36,7 +36,7 @@ from .channel import (
     draw_channel,  # noqa: F401 -- module-level binding read by tracing tools
     rule,
 )
-from .modem import Constellation, bits_to_index, index_to_bits
+from .modem import Constellation, bits_to_index, index_to_bits, modulate
 
 
 class TrainingDiverged(RuntimeError):
@@ -99,6 +99,23 @@ def pattern_index(bits, n_bits: int) -> np.ndarray:
     return bits_to_index(bits)
 
 
+def _trunk(n_in: int, n_out: int, activation: str, cfg: TrainConfig,
+           rng: np.random.Generator) -> list:
+    """Input layer, ``n_res_blocks`` hidden blocks (with shortcuts if set), output layer."""
+    width = cfg.hidden_width
+    trunk = [nn.Dense(n_in, width, rng=rng)]
+    for _ in range(cfg.n_res_blocks):
+        block = nn.Dense(width, width, rng=rng)
+        trunk.append(nn.Residual(block) if cfg.use_shortcuts else block)
+    return trunk + [nn.Dense(width, n_out, activation, rng=rng)]
+
+
+def _named(prefix: str, stack: list) -> list[tuple[str, np.ndarray]]:
+    """``<prefix>.<i>.W`` and ``<prefix>.<i>.b`` of each layer of a stack."""
+    return [(f"{prefix}.{i}.{key}", p) for i, layer in enumerate(stack)
+            for key, p in zip("Wb", layer.params())]
+
+
 class Transmitter:
     """Bit vector -> I/Q symbol with an average power constraint.
 
@@ -109,17 +126,12 @@ class Transmitter:
 
     def __init__(self, cfg: TrainConfig, rng: np.random.Generator):
         self.arch = cfg
-        width = cfg.hidden_width
-        n_in = cfg.n_bits + (1 if cfg.alpha_to_subnet1 else 0)
-        self.net1 = [nn.Dense(n_in, width, nn.TANH, rng)]
-        for _ in range(cfg.n_res_blocks):
-            block = nn.Dense(width, width, nn.TANH, rng)
-            self.net1.append(nn.Residual(block) if cfg.use_shortcuts else block)
-        self.net1.append(nn.Dense(width, 2, nn.LINEAR, rng))
+        self.net1 = _trunk(cfg.n_bits + (1 if cfg.alpha_to_subnet1 else 0), 2, nn.LINEAR,
+                           cfg, rng)
         self.bpn = nn.BatchPowerNorm(2)
         if cfg.use_subnet2:
-            self.net2 = [nn.Dense(1, cfg.subnet2_width, nn.TANH, rng),
-                         nn.Dense(cfg.subnet2_width, 2, nn.LINEAR, rng)]
+            self.net2 = [nn.Dense(1, cfg.subnet2_width, rng=rng),
+                         nn.Dense(cfg.subnet2_width, 2, nn.LINEAR, rng=rng)]
             self.pnorm = nn.PowerNorm(cfg.total_power)
         else:
             self.net2 = []
@@ -166,14 +178,10 @@ class Transmitter:
         for layer in reversed(self.net1):
             g = layer.backward(g)
 
-    def layers(self) -> list:
-        return self.net1 + self.net2
-
-    def params(self) -> list[np.ndarray]:
-        return [p for layer in self.layers() for p in layer.params()]
-
-    def grads(self) -> list[np.ndarray]:
-        return [g for layer in self.layers() for g in layer.grads()]
+    def arrays(self, prefix: str) -> list[tuple[str, np.ndarray]]:
+        return (_named(f"{prefix}.net1", self.net1)
+                + [(f"{prefix}.bpn.running_ms", self.bpn.running_ms)]
+                + _named(f"{prefix}.net2", self.net2))
 
 
 def _column(value, n_rows: int) -> np.ndarray:
@@ -192,12 +200,7 @@ class Receiver:
     def __init__(self, cfg: TrainConfig, n_extras: int, rng: np.random.Generator):
         self.n_extras = n_extras
         self.bpn = nn.BatchPowerNorm(2)
-        width = cfg.hidden_width
-        self.net = [nn.Dense(2 + n_extras, width, nn.TANH, rng)]
-        for _ in range(cfg.n_res_blocks):
-            block = nn.Dense(width, width, nn.TANH, rng)
-            self.net.append(nn.Residual(block) if cfg.use_shortcuts else block)
-        self.net.append(nn.Dense(width, cfg.n_bits, nn.SIGMOID, rng))
+        self.net = _trunk(2 + n_extras, cfg.n_bits, nn.SIGMOID, cfg, rng)
         self._cache = None
 
     def forward(self, y: np.ndarray, extras: list, eta, training: bool) -> np.ndarray:
@@ -224,11 +227,9 @@ class Receiver:
             g = layer.backward(g)
         return self.bpn.backward(g[:, :2] * eta)
 
-    def params(self) -> list[np.ndarray]:
-        return [p for layer in self.net for p in layer.params()]
-
-    def grads(self) -> list[np.ndarray]:
-        return [g for layer in self.net for g in layer.grads()]
+    def arrays(self, prefix: str) -> list[tuple[str, np.ndarray]]:
+        return ([(f"{prefix}.bpn.running_ms", self.bpn.running_ms)]
+                + _named(f"{prefix}.net", self.net))
 
 
 class ZicAutoencoder:
@@ -291,13 +292,21 @@ class ZicAutoencoder:
         self.tx1.backward(gy1 @ H11)
         self.tx2.backward(gy1 @ H21 + gy2 @ H22)
 
+    def arrays(self) -> list[tuple[str, np.ndarray]]:
+        """Every parameter and normalization-state array, named, in model-file order."""
+        return (self.tx1.arrays("tx1") + self.tx2.arrays("tx2")
+                + self.rx1.arrays("rx1") + self.rx2.arrays("rx2"))
+
+    def _layers(self) -> list:
+        """Every trained layer, in the order :meth:`arrays` names their parameters."""
+        return [*self.tx1.net1, *self.tx1.net2, *self.tx2.net1, *self.tx2.net2,
+                *self.rx1.net, *self.rx2.net]
+
     def params(self) -> list[np.ndarray]:
-        return (self.tx1.params() + self.tx2.params()
-                + self.rx1.params() + self.rx2.params())
+        return [p for layer in self._layers() for p in layer.params()]
 
     def grads(self) -> list[np.ndarray]:
-        return (self.tx1.grads() + self.tx2.grads()
-                + self.rx1.grads() + self.rx2.grads())
+        return [g for layer in self._layers() for g in layer.grads()]
 
     # -- frozen-model use --------------------------------------------------
 
@@ -311,9 +320,10 @@ class ZicAutoencoder:
         ``constellations`` is the pair ``encode_constellation(self, sa_tx)``
         gives; its points may hold one alphabet per row, shape (rows, M).
         """
+        for bits in (bits1, bits2):
+            pattern_index(bits, self.arch.n_bits)  # refuses anything but rows of n_bits 0/1s
         c1, c2 = constellations
-        return (_lookup(c1, pattern_index(bits1, self.arch.n_bits)),
-                _lookup(c2, pattern_index(bits2, self.arch.n_bits)))
+        return modulate(c1, bits1), modulate(c2, bits2)
 
     def receive(self, y1: np.ndarray, y2: np.ndarray, knows: CsiInputs,
                 noise_var: float) -> tuple[np.ndarray, np.ndarray]:
@@ -328,13 +338,6 @@ class ZicAutoencoder:
                                np.stack([y2.real, y2.imag], axis=1), knows, noise_var,
                                training=False)
         return (p1 > 0.5).astype(int), (p2 > 0.5).astype(int)
-
-
-def _lookup(c: Constellation, index: np.ndarray) -> np.ndarray:
-    """The point of each label, from the row's own alphabet if there is one per row."""
-    if c.points.ndim == 1:
-        return c.points[index]
-    return c.points[np.arange(len(index)), index]
 
 
 def encode_constellation(model: ZicAutoencoder, sqrt_alpha: float

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import bersim, modelio
 from .autoencoder import ABLATION_EXPERIMENTS, TrainConfig, encode_constellation, train
 from .bersim import BerResult, EvalConfig
-from .channel import PERFECT, ChannelConfig, RejectionLimitError
+from .channel import IMPERFECT, ChannelConfig, RejectionLimitError
 from .modem import constellation_rows
 
 log = logging.getLogger("zicae")
@@ -59,17 +59,34 @@ def parse_config_file(path) -> dict[str, str]:
     return out
 
 
+_IMPERFECT = ("csi_mode", "= imperfect", lambda v: v == IMPERFECT)
+_ADAPTIVE = ("n_symbols_per_point", "= 0", lambda v: v == 0)
+_SUBNET2 = ("use_subnet2", "= 1", bool)
+# key -> (the field that decides whether it is read, the setting it is read under,
+# a test of that field's value)
+READ_ONLY_WITH = {
+    "sigma_e2": _IMPERFECT, "threshold_t": _IMPERFECT, "n_q": _IMPERFECT,
+    "min_errors": _ADAPTIVE, "max_bits": _ADAPTIVE,
+    "alpha_to_subnet2": _SUBNET2, "subnet2_width": _SUBNET2,
+    "use_shortcuts": ("n_res_blocks", ">= 1", bool),
+}
+
+
 def config_from(cls, raw: dict, seed_override: int | None = None, base=None):
-    """A ``cls`` config from parsed key=value pairs; absent keys keep ``base``'s values."""
+    """A ``cls`` config from parsed key=value pairs; absent keys keep ``base``'s values.
+
+    A key that the setting of its deciding field leaves unread is an error,
+    where ``cls`` has that field.
+    """
     try:
         cfg = cls.from_config(raw, base)
         cfg = cfg if seed_override is None else replace(cfg, seed=seed_override)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    for key in ("sigma_e2", "threshold_t", "n_q"):  # read by the imperfect-CSI model only
-        if key in raw and cfg.csi_mode == PERFECT:
-            raise ConfigError(f"{key} is only read with csi_mode = imperfect; "
-                              f"remove the key or set csi_mode = imperfect")
+    for key, (field, setting, reads) in READ_ONLY_WITH.items():
+        if key in raw and hasattr(cfg, field) and not reads(getattr(cfg, field)):
+            raise ConfigError(f"{key} is only read with {field} {setting}; "
+                              f"remove the key or set {field} {setting}")
     return cfg
 
 

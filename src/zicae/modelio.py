@@ -21,43 +21,9 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .autoencoder import ARCH_FIELDS, Receiver, TrainConfig, Transmitter, ZicAutoencoder
+from .autoencoder import ARCH_FIELDS, TrainConfig, ZicAutoencoder
 
 MAGIC = "ZICAE-MODEL v2"
-
-
-def _dense_layers(stack) -> list:
-    """Unwrap residual shortcuts so every entry owns W/b."""
-    out = []
-    for layer in stack:
-        out.append(layer.inner if hasattr(layer, "inner") else layer)
-    return out
-
-
-def _tx_arrays(name: str, tx: Transmitter) -> list[tuple[str, np.ndarray]]:
-    rows = []
-    for i, layer in enumerate(_dense_layers(tx.net1)):
-        rows.append((f"{name}.net1.{i}.W", layer.W))
-        rows.append((f"{name}.net1.{i}.b", layer.b))
-    rows.append((f"{name}.bpn.running_ms", tx.bpn.running_ms))
-    for i, layer in enumerate(_dense_layers(tx.net2)):
-        rows.append((f"{name}.net2.{i}.W", layer.W))
-        rows.append((f"{name}.net2.{i}.b", layer.b))
-    return rows
-
-
-def _rx_arrays(name: str, rx: Receiver) -> list[tuple[str, np.ndarray]]:
-    rows = [(f"{name}.bpn.running_ms", rx.bpn.running_ms)]
-    for i, layer in enumerate(_dense_layers(rx.net)):
-        rows.append((f"{name}.net.{i}.W", layer.W))
-        rows.append((f"{name}.net.{i}.b", layer.b))
-    return rows
-
-
-def model_arrays(model: ZicAutoencoder) -> list[tuple[str, np.ndarray]]:
-    """Every parameter and normalization-state array, in serialization order."""
-    return (_tx_arrays("tx1", model.tx1) + _tx_arrays("tx2", model.tx2)
-            + _rx_arrays("rx1", model.rx1) + _rx_arrays("rx2", model.rx2))
 
 
 def _sha256(data: bytes) -> str:
@@ -65,7 +31,7 @@ def _sha256(data: bytes) -> str:
 
 
 def save_model(path, model: ZicAutoencoder, cfg: TrainConfig) -> None:
-    arrays = model_arrays(model)
+    arrays = model.arrays()
     header = [f"config_sha256={_sha256(cfg.config_text().encode())}"]
     header += [f"{key}={text}" for key, text in model.arch.config_items(ARCH_FIELDS)]
     header += [f"array={name}:" + "x".join(map(str, np.atleast_1d(arr).shape))
@@ -121,7 +87,7 @@ def _read_model(raw: bytes) -> ZicAutoencoder:
                          f"unknown header keys {sorted(set(meta) - expected)}")
 
     model = ZicAutoencoder(TrainConfig.from_config(meta), np.random.default_rng(0))
-    arrays = model_arrays(model)
+    arrays = model.arrays()
     layout = [(name, np.atleast_1d(arr).shape) for name, arr in arrays]
     for i, (got, want) in enumerate(zip_longest(shapes, layout)):
         if got != want:

@@ -74,9 +74,8 @@ def _activation_grad(y: np.ndarray, grad_out: np.ndarray, kind: str) -> np.ndarr
 class Dense:
     """Fully connected layer y = act(x @ W.T + b) with gradient buffers."""
 
-    def __init__(self, n_in: int, n_out: int, activation: str = TANH,
-                 rng: np.random.Generator | None = None):
-        rng = rng if rng is not None else np.random.default_rng()
+    def __init__(self, n_in: int, n_out: int, activation: str = TANH, *,
+                 rng: np.random.Generator):
         limit = np.sqrt(6.0 / (n_in + n_out))
         self.W = rng.uniform(-limit, limit, size=(n_out, n_in))
         self.b = np.zeros(n_out)

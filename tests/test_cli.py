@@ -413,20 +413,42 @@ def test_eval_invalid_channel_value_exits_2(tmp_path, capsys, line):
     assert line.split()[0] in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["sigma_e2 = 0.05", "threshold_t = 0.5", "n_q = 2"])
-@pytest.mark.parametrize("command,text,extra", [
-    ("train", TINY_TRAIN, []),
-    ("eval", EVAL_CFG, ["--scheme", "baseline1"]),
-], ids=["train", "eval"])
-def test_imperfect_only_key_under_perfect_csi_exits_2(tmp_path, capsys, command, text,
-                                                      extra, line):
-    cfg = _write(tmp_path, "c.cfg", text + line + "\n")
+# key line -> (a line that leaves the key unread, the setting the error names,
+# a line under which the key is read)
+UNREAD = {
+    **dict.fromkeys(["sigma_e2 = 0.05", "threshold_t = 0.5", "n_q = 2"],
+                    ("", "csi_mode = imperfect", "csi_mode = imperfect")),
+    # EVAL_CFG and ABLATION_CFG fix the symbols per draw
+    **dict.fromkeys(["min_errors = 20", "max_bits = 20000"],
+                    ("", "n_symbols_per_point = 0", "n_symbols_per_point = 0")),
+    **dict.fromkeys(["alpha_to_subnet2 = 0", "subnet2_width = 8"],
+                    ("use_subnet2 = 0\n", "use_subnet2 = 1", "use_subnet2 = 1")),
+    "use_shortcuts = 0": ("n_res_blocks = 0\n", "n_res_blocks >= 1", "n_res_blocks = 1"),
+}
+COMMANDS = {"train": (TINY_TRAIN, []), "eval": (EVAL_CFG, ["--scheme", "baseline1"]),
+            "ablation": (ABLATION_CFG, [])}
+
+
+@pytest.mark.parametrize("command,line", [
+    pytest.param(command, line, id=f"{command}-{line}") for command, lines in (
+        ("train", ["n_q = 2", "sigma_e2 = 0.05", "threshold_t = 0.5", "alpha_to_subnet2 = 0",
+                   "subnet2_width = 8", "use_shortcuts = 0"]),
+        ("eval", ["n_q = 2", "sigma_e2 = 0.05", "threshold_t = 0.5", "min_errors = 20",
+                  "max_bits = 20000"]),
+        ("ablation", ["min_errors = 20"]),
+    ) for line in lines])
+def test_imperfect_only_key_under_perfect_csi_exits_2(tmp_path, capsys, command, line):
+    """A key that its deciding field's setting leaves unread exits 2, naming the key and
+    the setting; the same file with that setting changed runs."""
+    text, extra = COMMANDS[command]
+    unread, setting, fix = UNREAD[line]
+    cfg = _write(tmp_path, "c.cfg", text + unread + line + "\n")
     out = tmp_path / "out"
     rc = main([command, "--config", str(cfg), *extra, "--out", str(out)])
     assert rc == 2
-    assert f"{line.split()[0]} is only read with csi_mode = imperfect" in capsys.readouterr().err
+    assert f"{line.split()[0]} is only read with {setting}" in capsys.readouterr().err
     assert not out.exists()
-    _write(tmp_path, "c.cfg", text + line + "\ncsi_mode = imperfect\n")
+    _write(tmp_path, "c.cfg", text + unread + line + "\n" + fix + "\n")
     assert main([command, "--config", str(cfg), *extra, "--out", str(out)]) == 0
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from zicae.autoencoder import ABLATION_EXPERIMENTS, CsiInputs, TrainConfig, ZicAutoencoder
 from zicae.channel import EquivalentChannel
-from zicae.modelio import file_sha256, load_model, model_arrays, save_model
+from zicae.modelio import file_sha256, load_model, save_model
 
 CFG = TrainConfig(n_channels=0, n_bits=2, batch=32, hidden_width=8, subnet2_width=4,
                   alpha_min=0.9, alpha_max=1.1, csi_mode="imperfect", sigma_e2=0.05)
@@ -23,7 +23,7 @@ def test_roundtrip_preserves_everything(tmp_path):
     save_model(path, model, CFG)
     loaded = load_model(path)
 
-    for (name_a, a), (name_b, b) in zip(model_arrays(model), model_arrays(loaded)):
+    for (name_a, a), (name_b, b) in zip(model.arrays(), loaded.arrays()):
         assert name_a == name_b
         assert np.array_equal(a, b), name_a
     assert loaded.arch == model.arch
@@ -68,6 +68,23 @@ def test_flag_variants_roundtrip(tmp_path):
             assert loaded.arch == model.arch, (name, csi_mode)
             assert all(getattr(loaded.arch, k) == v for k, v in overrides.items())
             assert len(loaded.params()) == len(model.params())
+
+
+@pytest.mark.parametrize("csi_mode", ["perfect", "imperfect"])
+@pytest.mark.parametrize("overrides", ABLATION_EXPERIMENTS.values(),
+                         ids=list(ABLATION_EXPERIMENTS))
+def test_file_holds_every_trained_parameter(overrides, csi_mode):
+    cfg = TrainConfig(n_channels=0, n_bits=3, hidden_width=8, n_res_blocks=2, subnet2_width=4,
+                      csi_mode=csi_mode, **overrides)
+    model = ZicAutoencoder(cfg, np.random.default_rng(9))
+    names = [name for name, _ in model.arrays()]
+    assert len(set(names)) == len(names)
+    saved = [arr for name, arr in model.arrays() if not name.endswith(".bpn.running_ms")]
+    assert len(saved) == len(names) - 4
+    params = model.params()
+    assert len(params) == len(saved)
+    assert all(p is a for p, a in zip(params, saved))
+    assert [g.shape for g in model.grads()] == [p.shape for p in params]
 
 
 def test_config_text_round_trips_floats():

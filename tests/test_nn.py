@@ -26,28 +26,35 @@ def _fd_check(forward_loss, params, analytic, step=1e-5, tol=1e-5):
 
 
 def test_dense_identity_passthrough():
-    layer = nn.Dense(3, 3, nn.LINEAR, np.random.default_rng(0))
+    layer = nn.Dense(3, 3, nn.LINEAR, rng=np.random.default_rng(0))
     layer.W = np.eye(3)
     layer.b = np.zeros(3)
     x = np.random.default_rng(1).normal(size=(5, 3))
     assert np.array_equal(layer.forward(x), x)
 
 
+def test_dense_draws_its_weights_from_a_named_generator():
+    # an unseeded fallback would break the seed contract without a trace
+    for args in [(3, 2), (3, 2, nn.TANH, np.random.default_rng(0))]:
+        with pytest.raises(TypeError):
+            nn.Dense(*args)
+
+
 def test_dense_tanh_zero_input():
-    layer = nn.Dense(4, 2, nn.TANH, np.random.default_rng(2))
+    layer = nn.Dense(4, 2, nn.TANH, rng=np.random.default_rng(2))
     layer.b = np.zeros(2)
     assert np.array_equal(layer.forward(np.zeros((3, 4))), np.zeros((3, 2)))
 
 
 def test_dense_shape_mismatch():
-    layer = nn.Dense(4, 2, nn.TANH, np.random.default_rng(3))
+    layer = nn.Dense(4, 2, nn.TANH, rng=np.random.default_rng(3))
     with pytest.raises(ValueError):
         layer.forward(np.zeros((3, 5)))
 
 
 def test_dense_gradients_match_finite_differences():
     rng = np.random.default_rng(4)
-    layer = nn.Dense(5, 4, nn.TANH, rng)
+    layer = nn.Dense(5, 4, nn.TANH, rng=rng)
     x = rng.normal(size=(6, 5))
     target = rng.normal(size=(6, 4))
 
@@ -62,7 +69,7 @@ def test_dense_gradients_match_finite_differences():
 
 def test_residual_trivials_and_gradient():
     rng = np.random.default_rng(5)
-    inner = nn.Dense(3, 3, nn.TANH, rng)
+    inner = nn.Dense(3, 3, nn.TANH, rng=rng)
     block = nn.Residual(inner)
     x = rng.normal(size=(4, 3))
     inner.W = np.zeros_like(inner.W)  # f(x) = 0 -> output = x
@@ -106,7 +113,7 @@ def test_batch_power_norm_inference_uses_running_stats():
 def test_batch_power_norm_gradient_includes_batch_statistic():
     rng = np.random.default_rng(8)
     bpn = nn.BatchPowerNorm(2)
-    front = nn.Dense(3, 2, nn.LINEAR, rng)
+    front = nn.Dense(3, 2, nn.LINEAR, rng=rng)
     x = rng.normal(size=(10, 3))
     target = rng.normal(size=(10, 2))
 
@@ -138,7 +145,7 @@ def test_power_norm_total_power_exact():
 def test_power_norm_gradient():
     rng = np.random.default_rng(10)
     pn = nn.PowerNorm(1.0)
-    front = nn.Dense(2, 2, nn.LINEAR, rng)
+    front = nn.Dense(2, 2, nn.LINEAR, rng=rng)
     x = rng.normal(size=(5, 2))
     target = rng.normal(size=(5, 2))
 
@@ -153,7 +160,7 @@ def test_power_norm_gradient():
 @pytest.mark.parametrize("kind", [nn.TANH, nn.SIGMOID, nn.LINEAR])
 def test_dense_backward_consumes_its_forward(kind):
     rng = np.random.default_rng(14)
-    layer = nn.Dense(3, 2, kind, rng)
+    layer = nn.Dense(3, 2, kind, rng=rng)
     grad = rng.normal(size=(4, 2))
     with pytest.raises(RuntimeError, match="Dense.backward"):
         layer.backward(grad)
@@ -168,7 +175,7 @@ def test_dense_backward_consumes_its_forward(kind):
 
 def test_residual_backward_consumes_its_forward():
     rng = np.random.default_rng(15)
-    block = nn.Residual(nn.Dense(3, 3, nn.TANH, rng))
+    block = nn.Residual(nn.Dense(3, 3, nn.TANH, rng=rng))
     grad = rng.normal(size=(4, 3))
     with pytest.raises(RuntimeError, match="Dense.backward"):
         block.backward(grad)
@@ -182,7 +189,7 @@ def test_residual_backward_consumes_its_forward():
 @pytest.mark.parametrize("kind", [nn.TANH, nn.SIGMOID, nn.LINEAR])
 def test_inference_forward_runs_in_input_dtype_and_caches_nothing(kind, residual):
     rng = np.random.default_rng(17)
-    inner = nn.Dense(3, 3, kind, rng)
+    inner = nn.Dense(3, 3, kind, rng=rng)
     layer = nn.Residual(inner) if residual else inner
     x = rng.normal(size=(4, 3))
     y32 = layer.forward(x.astype(np.float32), training=False)
