@@ -363,8 +363,8 @@ def train(cfg: TrainConfig) -> tuple[ZicAutoencoder, list[dict]]:
 
     for i_ch in range(cfg.n_channels):
         alpha = rng_channel.uniform(cfg.alpha_min, cfg.alpha_max)
-        ctx = channel_context(cfg, alpha, cfg.train_snr_db, rng_channel,
-                              simulated_residual=True)
+        ctx = channel_context(cfg, alpha, cfg.train_snr_db, rng_channel, 1,
+                              simulated_residual=True).draw(0)
         losses = []
         for i_ep in range(cfg.epochs_per_channel):
             bits1 = rng_data.integers(0, 2, size=(cfg.batch, cfg.n_bits)).astype(float)

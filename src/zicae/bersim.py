@@ -7,9 +7,10 @@ pushes random bits through :func:`zicae.channel.apply_channel` for a grid of
 and reports per-user and worst-case BERs with binomial standard errors.
 
 Random streams are derived per (seed, point, round): each round of a grid
-point draws its channels one after another (:func:`draw_context`), then the
-bits and noise of all of them in blocks of whole draws, from one generator.
-Grid points are independent work units and every run is reproducible.
+point draws all its channels at once (:func:`draw_context`, under imperfect
+CSI in blocks of keep-rule attempts, see :mod:`zicae.channel`), then the bits
+and noise of all of them in blocks of whole draws, from one generator.  Grid
+points are independent work units and every run is reproducible.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .channel import (
     channel_context,
     draw_channel,  # noqa: F401 -- module-level binding read by tracing tools
     rule,
-    stack_contexts,
 )
 from .modem import Constellation
 
@@ -56,7 +56,11 @@ class EvalConfig(ChannelConfig):
 
 @dataclass(frozen=True)
 class BerPoint:
-    """One evaluated grid point; worst-case fields drive the comparisons."""
+    """One evaluated grid point; worst-case fields drive the comparisons.
+
+    ``n_draws`` channel draws were kept out of ``n_attempts`` drawn under the
+    keep rule; neither goes to the CSV.
+    """
 
     scheme: str
     snr_db: float
@@ -66,6 +70,8 @@ class BerPoint:
     ber_worst: float
     n_bits_simulated: int
     n_bit_errors: int
+    n_draws: int = 0
+    n_attempts: int = 0
 
     @property
     def stderr(self) -> float:
@@ -106,8 +112,9 @@ def ideal_context(alpha: float, snr_db: float, total_power: float = 1.0) -> Chan
 
 def draw_context(cfg: EvalConfig, alpha: float, snr_db: float,
                  rng: np.random.Generator) -> ChannelContext:
-    """One channel draw of a grid point, with the real feedback quantizer."""
-    return channel_context(cfg, alpha, snr_db, rng)
+    """The ``n_channel_draws`` channels of one round of a grid point, with the real
+    feedback quantizer."""
+    return channel_context(cfg, alpha, snr_db, rng, cfg.n_channel_draws)
 
 
 def _per_draw(sa_tx, build) -> tuple[Constellation, Constellation]:
@@ -324,11 +331,11 @@ def evaluate_point(cfg: EvalConfig, scheme: Scheme, alpha: float, snr_db: float,
         chunk = max(1, budget // (cfg.n_channel_draws * cfg.n_bits))
     err1 = err2 = 0
     bits_done = 0
-    rnd = 0
+    rnd = attempts = 0
     while True:
         rng = np.random.default_rng([cfg.seed, point_index, rnd])
-        ctx = stack_contexts([draw_context(cfg, alpha, snr_db, rng)
-                              for _ in range(cfg.n_channel_draws)])
+        ctx = draw_context(cfg, alpha, snr_db, rng)
+        attempts += ctx.attempts
         e1, e2, nb = run_point(scheme, ctx, cfg.n_channel_draws * chunk, rng)
         err1 += e1
         err2 += e2
@@ -343,7 +350,8 @@ def evaluate_point(cfg: EvalConfig, scheme: Scheme, alpha: float, snr_db: float,
     worst = max(ber1, ber2)
     return BerPoint(scheme=scheme.name, snr_db=snr_db, alpha=alpha,
                     ber_user1=ber1, ber_user2=ber2, ber_worst=worst,
-                    n_bits_simulated=bits_done, n_bit_errors=max(err1, err2))
+                    n_bits_simulated=bits_done, n_bit_errors=max(err1, err2),
+                    n_draws=rnd * cfg.n_channel_draws, n_attempts=attempts)
 
 
 def sweep(cfg: EvalConfig, scheme) -> BerResult:

@@ -12,7 +12,8 @@ One channel draw passes through one record per stage: the raw gains
 (:class:`EstimatedChannel`), what each node knows after the N_q-bit feedback
 of (alpha, theta) (:class:`CsiInputs`, from :func:`make_feedback`), the
 equivalent channel (:class:`EquivalentChannel`) and the context that joins
-the last two (:class:`ChannelContext`).
+the last two (:class:`ChannelContext`).  Every stage works elementwise, one
+entry per draw.
 
 Complex Gaussian convention: CN(mu, var) has independent real/imaginary parts,
 each N(Re/Im(mu), var/2).
@@ -21,14 +22,16 @@ Every operation is pure given an explicit ``numpy.random.Generator``; callers
 own their streams, so everything here is safe to use from parallel workers.
 
 :class:`ChannelConfig` holds the settings that training and evaluation share,
-and :func:`channel_context` draws one channel under them for either.
-Evaluation joins the contexts of many draws with :func:`stack_contexts`
-into one context holding an array entry per draw.
+and :func:`channel_context` draws the K channels of one round under them:
+training draws one at a time, evaluation ``n_channel_draws`` per round.  Under
+imperfect CSI the keep rule's attempts go in blocks of as many attempts as
+draws are missing: n x 4 normals for the direct gains, n uniforms for the
+cross-link angles, then n x 6 normals for the estimation errors, so one draw
+reads the stream of one attempt after the other.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field, fields, replace
 
@@ -57,7 +60,7 @@ class RejectionLimitError(ValueError):
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Raw complex gains of one channel use; h21 is the only cross link."""
+    """Raw complex gains of channel uses, one entry per draw; h21 is the only cross link."""
 
     h11: complex
     h21: complex
@@ -202,7 +205,8 @@ class EstimatedChannel:
     """Estimated gains, their errors (true h = hhat + eps), and derived CSI.
 
     alpha_hat is the interference intensity receiver 1 assumes and theta_hat
-    the phase difference it feeds back, wrapped to [-pi, pi).
+    the phase difference it feeds back, wrapped to [-pi, pi); both are
+    computed from the estimates when read.
     """
 
     hhat11: complex
@@ -211,8 +215,20 @@ class EstimatedChannel:
     eps11: complex
     eps21: complex
     eps22: complex
-    alpha_hat: float
-    theta_hat: float
+
+    @property
+    def alpha_hat(self):
+        """(|hhat21|/|hhat11|)^2, inf where hhat11 is 0."""
+        r11 = _abs(self.hhat11)
+        ratio = np.divide(_abs(self.hhat21), r11, out=np.full(np.shape(r11), math.inf),
+                          where=r11 > 0)
+        return _square(ratio)
+
+    @property
+    def theta_hat(self):
+        """arg hhat11 - arg hhat21, by np.arctan2 (``cmath.phase`` differs in the last bit)."""
+        return _wrap_angle(np.arctan2(np.imag(self.hhat11), np.real(self.hhat11))
+                           - np.arctan2(np.imag(self.hhat21), np.real(self.hhat21)))
 
 
 @dataclass(frozen=True)
@@ -230,96 +246,121 @@ class CsiInputs:
     theta_delta: float | None = None
 
 
-def _complex_gaussians(rng: np.random.Generator, mean: complex, var: float,
-                       n: int) -> list[complex]:
-    """``n`` python complex CN(mean, var) draws from one ``standard_normal(2n)`` call."""
-    scale = math.sqrt(var / 2.0) if var > 0 else 0.0
-    z = rng.standard_normal(2 * n).tolist()
-    return [mean + scale * complex(z[i], z[i + 1]) for i in range(0, 2 * n, 2)]
+# Elementwise arithmetic that gives, bit for bit, what Python's arithmetic
+# gives on one value; numpy's own abs and complex division differ from it in
+# the last bit on about a third of inputs.
+
+def _abs(z):
+    """|z| as Python's ``abs`` of a complex computes it."""
+    return np.hypot(np.real(z), np.imag(z))
 
 
-def draw_channel(cfg: ChannelConfig, rng: np.random.Generator) -> ChannelRealization:
-    """Draw the direct gains h11, h22 from CN(mu_h, sigma_h2); h21 is left at zero.
+def _square(x):
+    """x**2 as Python squares a float: with the C library's pow, not x*x.
 
-    The cross link is interference-intensity driven and is set separately,
-    see :func:`draw_interference` / :func:`draw_zic_channel`.
+    The two differ in the last bit on about 0.1 % of inputs.
     """
-    h11, h22 = _complex_gaussians(rng, cfg.mu_h, cfg.sigma_h2, 2)
-    return ChannelRealization(h11=h11, h21=0j, h22=h22)
+    return np.asarray(np.power(np.asarray(x, dtype=object), 2), dtype=float)
 
 
-def draw_interference(alpha: float, rng: np.random.Generator) -> complex:
-    """Cross gain sqrt(alpha)*e^{j*theta} with theta uniform on [0, 2*pi)."""
-    if alpha < 0:
+def _complex(re, im):
+    out = np.empty(np.broadcast(re, im).shape, complex)
+    out.real, out.imag = re, im
+    return out[()]  # a numpy scalar, not a 0-d array, for scalar parts
+
+
+def _quotient(a, b):
+    """a / b by Smith's method, as Python divides complex numbers; nan where b is 0."""
+    a, b = np.asarray(a, complex), np.asarray(b, complex)
+    swap = np.abs(b.real) < np.abs(b.imag)  # divide top and bottom by the larger part of b
+    big, small = np.where(swap, b.imag, b.real), np.where(swap, b.real, b.imag)
+    x, y = np.where(swap, a.imag, a.real), np.where(swap, a.real, a.imag)
+    ratio = small / big
+    denom = big + small * ratio
+    xr = x * ratio
+    return _complex((x + y * ratio) / denom, np.where(swap, xr - y, y - xr) / denom)
+
+
+def _expj(theta):
+    """e^{j*theta}, as ``cmath.exp(1j * theta)`` computes it."""
+    return _complex(np.cos(theta), np.sin(theta))
+
+
+def draw_channel(cfg: ChannelConfig, rng: np.random.Generator, n: int) -> ChannelRealization:
+    """Draw ``n`` pairs of direct gains h11, h22 from CN(mu_h, sigma_h2); h21 is left at zero.
+
+    Draw i reads the normals ``standard_normal((n, 4))[i]``: Re h11, Im h11,
+    Re h22, Im h22.  The cross link is interference-intensity driven and is
+    set separately, see :func:`draw_interference` / :func:`draw_zic_channel`.
+    """
+    h = cfg.mu_h + _complex_noise(rng, cfg.sigma_h2, (n, 2))
+    return ChannelRealization(h11=h[:, 0], h21=np.zeros(n, complex), h22=h[:, 1])
+
+
+def draw_interference(alpha, rng: np.random.Generator, n: int):
+    """``n`` cross gains sqrt(alpha)*e^{j*theta}, theta uniform on [0, 2*pi).
+
+    ``alpha`` is one intensity or one per draw.
+    """
+    if (np.asarray(alpha) < 0).any():
         raise ValueError(f"alpha must be >= 0, got {alpha}")
-    theta = 2.0 * math.pi * rng.random()  # the value rng.uniform(0, 2*pi) draws
-    return math.sqrt(alpha) * cmath.exp(1j * theta)
+    return np.sqrt(alpha) * _expj(2.0 * math.pi * rng.random(n))
 
 
-def draw_zic_channel(cfg: ChannelConfig, alpha: float,
-                     rng: np.random.Generator) -> ChannelRealization:
-    """Full ZIC realization: random direct gains plus the alpha-driven cross link."""
-    ch = draw_channel(cfg, rng)
-    return ChannelRealization(ch.h11, draw_interference(alpha, rng), ch.h22)
+def draw_zic_channel(cfg: ChannelConfig, alpha, rng: np.random.Generator,
+                     n: int) -> ChannelRealization:
+    """``n`` full ZIC realizations: random direct gains plus the alpha-driven cross link."""
+    ch = draw_channel(cfg, rng, n)
+    return ChannelRealization(ch.h11, draw_interference(alpha, rng, n), ch.h22)
 
 
 def normalize_perfect(ch: ChannelRealization, noise_var: float) -> EquivalentChannel:
-    """Equivalent model under perfect CSI.
+    """Equivalent model under perfect CSI, elementwise over the draws of ``ch``.
 
     Tx2 pre-rotates to align the cross-link phase with the direct one and both
     receivers divide by their direct gain, leaving unit direct gains, a real
     cross gain r21/r11 and noise variances noise_var/|hii|^2.
     """
-    r11 = abs(ch.h11)
-    r22 = abs(ch.h22)
-    if r11 == 0.0 or r22 == 0.0:
+    r11 = _abs(ch.h11)
+    r22 = _abs(ch.h22)
+    if np.any(r11 == 0.0) or np.any(r22 == 0.0):
         raise DegenerateChannelError("direct gain is zero; channel cannot be normalized")
     return EquivalentChannel(
         hbar11=1.0 + 0j,
-        hbar21=complex(abs(ch.h21) / r11),
+        hbar21=_complex(_abs(ch.h21) / r11, 0.0),
         hbar22=1.0 + 0j,
-        noise_var_rx1=noise_var / r11**2,
-        noise_var_rx2=noise_var / r22**2,
+        noise_var_rx1=noise_var / _square(r11),
+        noise_var_rx2=noise_var / _square(r22),
     )
 
 
-def _wrap_angle(theta: float) -> float:
+def _wrap_angle(theta):
     """Wrap to [-pi, pi)."""
     return (theta + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def estimate_with_errors(ch: ChannelRealization, eps11: complex, eps21: complex,
-                         eps22: complex) -> EstimatedChannel:
-    """Deterministic core of :func:`estimate`: hhat_ij = h_ij - eps_ij."""
-    hhat11 = ch.h11 - eps11
-    hhat21 = ch.h21 - eps21
-    hhat22 = ch.h22 - eps22
-    r11 = abs(hhat11)
-    alpha_hat = (abs(hhat21) / r11) ** 2 if r11 > 0 else math.inf
-    theta_hat = _wrap_angle(cmath.phase(hhat11) - cmath.phase(hhat21))
-    return EstimatedChannel(hhat11, hhat21, hhat22, eps11, eps21, eps22,
-                            alpha_hat, theta_hat)
-
-
 def estimate(ch: ChannelRealization, cfg: ChannelConfig,
              rng: np.random.Generator) -> EstimatedChannel:
-    """Receiver-side channel estimate with CN(0, sigma_e2) additive errors."""
-    eps11, eps21, eps22 = _complex_gaussians(rng, 0.0, cfg.sigma_e2, 3)
-    return estimate_with_errors(ch, eps11, eps21, eps22)
+    """Estimates hhat_ij = h_ij - eps_ij of the draws of ``ch``, eps_ij from CN(0, sigma_e2).
+
+    Draw i reads the normals ``standard_normal((n, 6))[i]``: eps11, eps21,
+    eps22, each real part first.
+    """
+    e11, e21, e22 = np.moveaxis(_complex_noise(rng, cfg.sigma_e2, (*np.shape(ch.h11), 3)), -1, 0)
+    return EstimatedChannel(ch.h11 - e11, ch.h21 - e21, ch.h22 - e22, e11, e21, e22)
 
 
-def accept_channel(est: EstimatedChannel, cfg: ChannelConfig) -> bool:
-    """Keep the channel only if no error-to-estimate ratio reaches threshold_t."""
-    ratios = (
-        abs(est.eps11 / est.hhat11),
-        abs(est.eps22 / est.hhat22),
-        abs(est.eps21 / est.hhat11),
-    )
-    return max(ratios) < cfg.threshold_t
+def accept_channel(est: EstimatedChannel, cfg: ChannelConfig):
+    """Keep rule, elementwise: no error-to-estimate ratio reaches threshold_t.
+
+    A zero estimated direct gain gives a nan ratio, which is never kept.
+    """
+    ratios = _quotient([est.eps11, est.eps22, est.eps21], [est.hhat11, est.hhat22, est.hhat11])
+    return _abs(ratios).max(axis=0) < cfg.threshold_t
 
 
-def quantize(value: float, n_bits: int, lo: float, hi: float) -> float:
-    """Uniform midpoint quantizer over [lo, hi] with 2**n_bits segments.
+def quantize(value, n_bits: int, lo: float, hi: float):
+    """Uniform midpoint quantizer over [lo, hi] with 2**n_bits segments, elementwise.
 
     Segments are half-open [lo + k*w, lo + (k+1)*w), the last one closed;
     out-of-range inputs clamp to the nearest end segment.  The output is
@@ -327,8 +368,7 @@ def quantize(value: float, n_bits: int, lo: float, hi: float) -> float:
     """
     n_seg = 1 << n_bits
     w = (hi - lo) / n_seg
-    k = int(math.floor((value - lo) / w))
-    k = min(max(k, 0), n_seg - 1)
+    k = np.clip(np.floor((np.asarray(value) - lo) / w), 0, n_seg - 1)
     return lo + (k + 0.5) * w
 
 
@@ -337,52 +377,67 @@ def make_feedback(est: EstimatedChannel, n_q: int) -> CsiInputs:
 
     The transmitters and Rx2 see the quantized intensity, Rx1 its own
     estimate plus the residual angle quantized(theta_hat) - theta_hat.
+    Elementwise over the draws of ``est``.
     """
-    sa_q = math.sqrt(quantize(est.alpha_hat, n_q, *ALPHA_RANGE))
-    theta_q = quantize(est.theta_hat, n_q, *THETA_RANGE)
-    return CsiInputs(sa_tx=sa_q, sa_rx1=math.sqrt(est.alpha_hat), sa_rx2=sa_q,
-                     theta_delta=theta_q - est.theta_hat)
+    alpha_hat, theta_hat = est.alpha_hat, est.theta_hat
+    sa_q = np.sqrt(quantize(alpha_hat, n_q, *ALPHA_RANGE))
+    return CsiInputs(sa_tx=sa_q, sa_rx1=np.sqrt(alpha_hat), sa_rx2=sa_q,
+                     theta_delta=quantize(theta_hat, n_q, *THETA_RANGE) - theta_hat)
 
 
-def normalize_imperfect(est: EstimatedChannel, theta_delta: float,
+def normalize_imperfect(est: EstimatedChannel, theta_delta,
                         noise_var: float) -> EquivalentChannel:
-    """Equivalent model when nodes equalize with estimated gains.
+    """Equivalent model when nodes equalize with estimated gains, elementwise.
 
     Direct gains become 1 + eps_ii/hhat_ii, the cross gain
     (rhat21/rhat11)*e^{j*theta_delta} + eps21/hhat11, and noise variances
     scale with the *estimated* direct gains.
     """
-    if abs(est.hhat11) == 0.0 or abs(est.hhat22) == 0.0:
+    r11, r22 = _abs(est.hhat11), _abs(est.hhat22)
+    if np.any(r11 == 0.0) or np.any(r22 == 0.0):
         raise DegenerateChannelError("estimated direct gain is zero")
-    mag_ratio = abs(est.hhat21) / abs(est.hhat11)
-    hbar21 = mag_ratio * cmath.exp(1j * theta_delta) + est.eps21 / est.hhat11
     return EquivalentChannel(
-        hbar11=1.0 + est.eps11 / est.hhat11,
-        hbar21=hbar21,
-        hbar22=1.0 + est.eps22 / est.hhat22,
-        noise_var_rx1=noise_var / abs(est.hhat11) ** 2,
-        noise_var_rx2=noise_var / abs(est.hhat22) ** 2,
+        hbar11=1.0 + _quotient(est.eps11, est.hhat11),
+        hbar21=_abs(est.hhat21) / r11 * _expj(theta_delta) + _quotient(est.eps21, est.hhat11),
+        hbar22=1.0 + _quotient(est.eps22, est.hhat22),
+        noise_var_rx1=noise_var / _square(r11),
+        noise_var_rx2=noise_var / _square(r22),
     )
 
 
-def draw_accepted_estimate(cfg: ChannelConfig, alpha: float,
-                           rng: np.random.Generator) -> EstimatedChannel:
-    """Rejection-sample channels and their estimates; return the first estimate kept.
+def draw_accepted_estimate(cfg: ChannelConfig, alpha: float, rng: np.random.Generator,
+                           k: int) -> tuple[EstimatedChannel, int]:
+    """Rejection-sample ``k`` kept channel estimates; return them and the attempts made.
 
-    Raises :class:`RejectionLimitError` after ``MAX_ESTIMATE_ATTEMPTS`` tries.
+    Attempts go in blocks of as many attempts as draws are missing, the
+    block's channels (:func:`draw_zic_channel`) then their estimates; one is
+    kept if both estimated direct gains are nonzero and :func:`accept_channel`
+    holds.  Kept attempts fill the draws in attempt order, so a draw's
+    attempts are the rejections in a row before it, plus itself.  Raises
+    :class:`RejectionLimitError` once one draw has ``MAX_ESTIMATE_ATTEMPTS``.
     """
-    for _ in range(MAX_ESTIMATE_ATTEMPTS):
-        ch = draw_zic_channel(cfg, alpha, rng)
-        est = estimate(ch, cfg, rng)
-        if abs(est.hhat11) == 0.0 or abs(est.hhat22) == 0.0:
-            continue
-        if accept_channel(est, cfg):
-            return est
-    raise RejectionLimitError(
-        f"no channel estimate passed the keep rule in {MAX_ESTIMATE_ATTEMPTS} attempts "
-        f"(observed acceptance 0/{MAX_ESTIMATE_ATTEMPTS}) at sigma_e2={cfg.sigma_e2!r}, "
-        f"threshold_t={cfg.threshold_t!r}, alpha={alpha:g}; "
-        "raise threshold_t or lower sigma_e2")
+    kept, attempts, missing = [], 0, k
+    rejected = 0  # rejections in a row since the last kept attempt
+    while missing:
+        est = estimate(draw_zic_channel(cfg, alpha, rng, missing), cfg, rng)
+        ok = (est.hhat11 != 0) & (est.hhat22 != 0) & accept_channel(est, cfg)
+        hits = np.flatnonzero(ok)
+        if hits.size:  # the longest run of rejections before a kept attempt
+            longest = max(rejected + hits[0], (hits[1:] - hits[:-1]).max(initial=1) - 1)
+            rejected = missing - 1 - hits[-1]
+            kept.append(_take(est, hits))
+        else:
+            longest = rejected = rejected + missing
+        if max(longest, rejected) >= MAX_ESTIMATE_ATTEMPTS:
+            raise RejectionLimitError(
+                f"no channel estimate passed the keep rule in {MAX_ESTIMATE_ATTEMPTS} "
+                f"attempts (observed acceptance 0/{MAX_ESTIMATE_ATTEMPTS}) at "
+                f"sigma_e2={cfg.sigma_e2!r}, threshold_t={cfg.threshold_t!r}, "
+                f"alpha={alpha:g}; raise threshold_t or lower sigma_e2")
+        attempts += missing
+        missing -= hits.size
+    return EstimatedChannel(*(np.concatenate([getattr(e, f.name) for e in kept])
+                              for f in fields(EstimatedChannel))), attempts
 
 
 def apply_channel(eq: EquivalentChannel, x1, x2, rng: np.random.Generator | None):
@@ -417,16 +472,20 @@ def _take(obj, rows):
 
 @dataclass(frozen=True)
 class ChannelContext:
-    """Everything one channel draw fixes: equivalent gains and node knowledge.
+    """Everything the draws of one round fix: equivalent gains and node knowledge.
 
-    A context of K draws (:func:`stack_contexts`) holds ``(K,)`` arrays in
-    the fields of ``eq`` and ``csi`` that vary between draws.
+    A context of K draws (:func:`channel_context`) holds ``(K,)`` arrays in
+    the fields of ``eq`` and ``csi`` that vary between draws; the others are
+    scalars.  ``attempts`` counts the round's channels drawn under the keep
+    rule, kept or not (K under perfect CSI); :meth:`block` and :meth:`draw`
+    keep the round's count.
     """
 
     eq: EquivalentChannel
     noise_var: float          # nominal sigma_N^2 at this SNR
     alpha: float              # true interference intensity of the draw
     csi: CsiInputs
+    attempts: int = 1
 
     @property
     def shape(self) -> tuple:
@@ -442,48 +501,33 @@ class ChannelContext:
         """
         return replace(self, eq=_take(self.eq, (draws, None)), csi=_take(self.csi, (draws, None)))
 
-
-def stack_contexts(contexts: list[ChannelContext]) -> ChannelContext:
-    """K single-channel contexts of one grid point as one K-draw context.
-
-    The draws share ``noise_var`` and ``alpha``.  Every field of ``eq``
-    becomes a ``(K,)`` array, and so does every field of ``csi`` that
-    differs between the draws; a common one stays a scalar.
-    """
-    first = contexts[0]
-    if any(c.noise_var != first.noise_var or c.alpha != first.alpha for c in contexts):
-        raise ValueError("stacked contexts must share noise_var and alpha")
-    eq = EquivalentChannel(*(np.array([getattr(c.eq, f.name) for c in contexts])
-                             for f in fields(EquivalentChannel)))
-    csi = {}
-    for f in fields(CsiInputs):
-        values = [getattr(c.csi, f.name) for c in contexts]
-        if any(v != values[0] for v in values):
-            csi[f.name] = np.array(values)
-    return replace(first, eq=eq, csi=replace(first.csi, **csi))
+    def draw(self, i: int) -> ChannelContext:
+        """Draw ``i`` of a K-draw context as a context of one channel."""
+        return replace(self, eq=_take(self.eq, i), csi=_take(self.csi, i))
 
 
 def channel_context(cfg: ChannelConfig, alpha: float, snr_db: float,
-                    rng: np.random.Generator, simulated_residual: bool = False
+                    rng: np.random.Generator, k: int, simulated_residual: bool = False
                     ) -> ChannelContext:
-    """Draw one channel at interference intensity ``alpha`` under ``cfg``'s CSI model.
+    """Draw ``k`` channels at interference intensity ``alpha`` under ``cfg``'s CSI model.
 
     Perfect CSI: random direct gains that, after normalization, only scale
-    the noise.  Imperfect CSI: a rejection-sampled estimated channel with
-    N_q-bit feedback of (alpha, theta).  With ``simulated_residual`` (the
-    training loop) the residual feedback angle is drawn uniformly from the
-    quantizer's half segment +-pi/2**n_q instead of quantizing the estimated
+    the noise.  Imperfect CSI: rejection-sampled estimated channels
+    (:func:`draw_accepted_estimate`) with N_q-bit feedback of (alpha, theta).
+    With ``simulated_residual`` (the training loop) the residual feedback
+    angles are drawn uniformly from the quantizer's half segment
+    +-pi/2**n_q, after the estimates, instead of quantizing the estimated
     phase.
     """
     nv = cfg.noise_var(snr_db)
     if cfg.csi_mode == PERFECT:
-        ch = draw_channel(cfg, rng)
         sa = math.sqrt(alpha)
-        eq = EquivalentChannel(1.0 + 0j, complex(sa), 1.0 + 0j,
-                               nv / abs(ch.h11) ** 2, nv / abs(ch.h22) ** 2)
-        return ChannelContext(eq, nv, alpha, CsiInputs(sa, sa, sa))
-    est = draw_accepted_estimate(cfg, alpha, rng)
+        eq = replace(normalize_perfect(draw_channel(cfg, rng, k), nv), hbar21=complex(sa))
+        return ChannelContext(eq, nv, alpha, CsiInputs(sa, sa, sa), k)
+    est, attempts = draw_accepted_estimate(cfg, alpha, rng, k)
     csi = make_feedback(est, cfg.n_q)
     if simulated_residual:
-        csi = replace(csi, theta_delta=rng.uniform(-math.pi / 2**cfg.n_q, math.pi / 2**cfg.n_q))
-    return ChannelContext(normalize_imperfect(est, csi.theta_delta, nv), nv, alpha, csi)
+        half = math.pi / 2**cfg.n_q
+        csi = replace(csi, theta_delta=rng.uniform(-half, half, k))
+    return ChannelContext(normalize_imperfect(est, csi.theta_delta, nv), nv, alpha, csi,
+                          attempts)

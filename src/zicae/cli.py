@@ -193,6 +193,9 @@ def cmd_eval(args) -> int:
     log.info("evaluating %s on %d grid points, %d channel draws each", args.scheme,
              len(cfg.snr_grid_db) * len(cfg.alpha_grid), cfg.n_channel_draws)
     result = bersim.sweep(cfg, scheme)
+    for p in result.points:
+        log.debug("%s at %g dB, alpha %g: %d channel draws kept of %d attempts", p.scheme,
+                  p.snr_db, p.alpha, p.n_draws, p.n_attempts)
 
     run_id = _run_id("eval", args.scheme, cfg.config_text(),
                      *sorted(map(modelio.file_sha256, model_paths)))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,22 +179,25 @@ def _slice(y, c: Constellation, shift=0.0):
     turn, half = np.exp(-1j * np.angle(factor)), np.abs(factor) * std[ref].real
     if (turn != 1).any():
         y, shift = y * turn, shift * turn
-    pos, errs, unsure = np.min_scalar_type(-c.size).type(0), [], False
+    pos = unsure = None  # set by the in-phase axis, which has two levels or more
+    errs = []
     for part, n_levels in ((np.real, c.size // n_q), (np.imag, n_q)):
         x = np.ascontiguousarray(part(y)) - part(shift)  # a new array, overwritten below
         if n_levels > 1:  # else the one level is 0
             upper = x > 0
             np.abs(x, out=x)
-            unsure = unsure | (x < 1e-9 * half)
+            near = x < 1e-9 * half
+            unsure = near if unsure is None else np.logical_or(unsure, near, out=unsure)
             x -= half
             out = np.int8(0)  # steps out from the innermost level
             for _ in range(n_levels // 2 - 1):
                 low, high = x > half * (1 - 1e-9), x > half * (1 + 1e-9)
-                unsure = unsure | (low != high)
-                np.subtract(x, 2 * half, out=x, where=low)
+                np.logical_or(unsure, low != high, out=unsure)
+                x -= low * (2 * half)
                 out = out + low
-            level = upper if n_levels == 2 else n_levels // 2 - 1 - out + upper * (2 * out + 1)
-            pos = pos * n_levels + level
+            level = (upper.view(np.int8) if n_levels == 2
+                     else n_levels // 2 - 1 - out + upper * (2 * out + 1))
+            pos = level if pos is None else pos * n_levels + level
         errs.append(np.square(x, out=x))
     errs[0] += errs[1]
     return pos, errs[0], unsure, half
@@ -206,6 +210,11 @@ def _full_search(y, points: np.ndarray, where: np.ndarray) -> np.ndarray:
     return np.argmin(np.abs(y[:, None] - points), axis=1)
 
 
+# bytes of one float64 temporary over a group of Tx2 hypotheses, at most,
+# unless one hypothesis alone takes more
+GROUP_BYTES = 64 * 1024
+
+
 def detect_rx1(y, c1: Constellation, c2: Constellation, hbar21) -> np.ndarray:
     """Joint ML detection at the interfered receiver.
 
@@ -214,17 +223,30 @@ def detect_rx1(y, c1: Constellation, c2: Constellation, hbar21) -> np.ndarray:
     ``y`` may be a scalar or an array; ``hbar21`` and the constellations may
     hold one value per draw, broadcasting against ``y``.  The last output
     axis holds the detected bits.  Each of Tx2's symbols is one hypothesis,
-    under which ``y - hbar21*p2`` is sliced against ``c1``.
+    under which ``y - hbar21*p2`` is sliced against ``c1``.  Hypotheses go in
+    groups whose temporaries take at most ``GROUP_BYTES`` each; the best
+    distance, its level position and the second-best distance carry over
+    from group to group.
     """
     y = np.atleast_1d(np.asarray(y, dtype=complex))
     cross = np.moveaxis(np.asarray(hbar21)[..., None] * c2.points, -1, 0)  # (M2, ...)
-    cross = cross.reshape(cross.shape[:1] + (1,) * (y.ndim + 1 - cross.ndim) + cross.shape[1:])
-    pos, dist2, unsure, half = _slice(y, c1, cross)
-    best = dist2.min(axis=0)
-    near = dist2 <= best + 1e-9 * (best + half * half)  # two nearest pairs are unsure too
-    unsure = unsure.any(axis=0) | (near.sum(axis=0, dtype=np.min_scalar_type(c2.size)) > 1)
+    # contiguous, so that the (M2, ...) temporaries are too and each hypothesis is one block
+    cross = np.ascontiguousarray(cross).reshape(
+        cross.shape[:1] + (1,) * (y.ndim + 1 - cross.ndim) + cross.shape[1:])
+    shape = np.broadcast_shapes(y.shape, cross.shape[1:])  # the samples of one hypothesis
+    step = max(1, GROUP_BYTES // (8 * math.prod(shape)))
+    best, second = np.full(shape, np.inf), np.full(shape, np.inf)
+    label, unsure = np.zeros(shape, np.int8), np.zeros(shape, bool)  # < 64 level positions
+    for first in range(0, c2.size, step):
+        pos, dist2, group_unsure, half = _slice(y, c1, cross[first:first + step])
+        unsure |= group_unsure.any(axis=0)
+        for p, d in zip(pos, dist2):
+            np.minimum(second, np.maximum(best, d), out=second)
+            label += (d < best) * (p - label)  # faster than np.where or np.copyto
+            np.minimum(best, d, out=best)
+    unsure |= second <= best + 1e-9 * (best + half * half)  # a second pair as near is unsure
     _, order, bits = _qam_tables(c1.n_bits)
-    label = order.take((pos * near).max(axis=0))
+    label = order.take(label)
     if unsure.any():
         label[unsure] = _full_search(y, composite_points(c1, c2, hbar21), unsure) // c2.size
     return bits.take(label, axis=0)

@@ -353,7 +353,7 @@ def test_float32_receivers_decide_as_float64(request, csi_mode, snr_db):
     cfg = replace(model.arch, sigma_e2=0.05, threshold_t=0.5, n_q=3)
     rng = np.random.default_rng(22)
     for alpha in np.linspace(0.9, 1.1, 10):
-        ctx = channel_context(cfg, alpha, snr_db, rng)
+        ctx = channel_context(cfg, alpha, snr_db, rng, 1).draw(0)
         bits1, bits2 = rng.integers(0, 2, size=(2, 400, 2))
         x1, x2 = model.transmit(bits1, bits2, encode_constellation(model, ctx.csi.sa_tx))
         y1, y2 = apply_channel(ctx.eq, x1, x2, rng)

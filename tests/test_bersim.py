@@ -25,7 +25,6 @@ from zicae.channel import (
     CsiInputs,
     EquivalentChannel,
     channel_context,
-    stack_contexts,
 )
 from zicae.modem import Constellation, detect_rx1, detect_rx2
 from conftest import compare_reduction
@@ -277,7 +276,7 @@ def test_evaluate_point_draws_one_stream_per_round():
     e1 = e2 = 0
     for rnd in range(2):
         rng = np.random.default_rng([17, 3, rnd])
-        ctx = stack_contexts([draw_context(cfg, 0.6, 8.0, rng) for _ in range(7)])
+        ctx = draw_context(cfg, 0.6, 8.0, rng)
         a, b, _ = run_point(Baseline2(2), ctx, 7 * chunk, rng)
         e1, e2 = e1 + a, e2 + b
     assert point.n_bits_simulated == 2 * 7 * chunk * 2
@@ -299,7 +298,7 @@ def _dae_draws(mode, snr_db=10.0):
                                  sigma_e2=0.05, seed=4))
     cfg = ChannelConfig(csi_mode=mode, sigma_e2=0.05, n_q=2)
     rng = np.random.default_rng(5)
-    return model, stack_contexts([channel_context(cfg, 1.0, snr_db, rng) for _ in range(6)])
+    return model, channel_context(cfg, 1.0, snr_db, rng, 6)
 
 
 def _draw_csi(ctx, d):

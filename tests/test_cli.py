@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import logging
 import re
 from dataclasses import fields
 from datetime import datetime
@@ -136,6 +137,24 @@ def test_eval_baseline_csv_rows(tmp_path):
     assert lines[0].startswith("# run: ")
     assert lines[1] == "scheme,snr_db,alpha,ber1,ber2,ber_worst,stderr,n_bits"
     assert len(lines) == 2 + 3  # one row per grid point
+
+
+@pytest.mark.parametrize("csi", ["", "csi_mode = imperfect\nsigma_e2 = 0.05\nthreshold_t = 0.3\n"],
+                         ids=["perfect", "imperfect"])
+def test_eval_logs_kept_draws_and_attempts_per_point(tmp_path, caplog, csi):
+    cfg = _write(tmp_path, "e.cfg", EVAL_CFG + "n_channel_draws = 40\n" + csi)
+    caplog.set_level(logging.DEBUG, logger="zicae")
+    assert main(["eval", "--config", str(cfg), "--scheme", "baseline1",
+                 "--out", str(tmp_path / "r.csv")]) == 0
+    lines = [r.getMessage() for r in caplog.records if "attempts" in r.getMessage()]
+    assert len(lines) == 3  # one per grid point
+    for line, alpha in zip(lines, ("0", "0.5", "1")):
+        found = re.fullmatch(rf"baseline1 at 10 dB, alpha {alpha}: 40 channel draws kept "
+                             r"of (\d+) attempts", line)
+        assert found, line
+        attempts = int(found[1])
+        assert attempts == 40 if not csi else attempts > 40
+    assert "attempts" not in (tmp_path / "r.csv").read_text()
 
 
 def test_eval_replay_is_byte_identical(tmp_path):

@@ -91,15 +91,15 @@ GOLDEN = {
     "constellation.csv":
         "5933916586a463f8730f3bda9f60d0834d87b07e6420e6327fad820b7b3514e5",
     "eval-baseline1-imperfect.csv":
-        "ef2c35420a404a250801f854ad524aee86e6980b70c5cf67858aaffc9201f747",
+        "076345175a19f50ae5f6a78d8b2e0a8f78dbc01610c0f274781398fee9cfa769",
     "eval-baseline1-perfect.csv":
         "a97a90f117353c3802170202b94c28e37f7270ac9868055780ae038032c46d65",
     "eval-baseline2-imperfect.csv":
-        "a3e41293186f34605636f5b603bb3e011fbc97abd7125160f3d1fb53caac3c15",
+        "f41dffb91fb908c88f3ff65eb6eecfa2b69a2d0c45694b842db5bf06776853bc",
     "eval-baseline2-perfect.csv":
         "49386feeaec37ac030d12586baab747432586cdf26021d9dc7269998b7a1aeca",
     "eval-dae-imperfect.csv":
-        "28893053658788c51f4699c0e9eff13fd3ac56604cbf3f527cfaf01656f02879",
+        "0fab93b30ade83f7dfbfb5eadd456f96a0da4311fd0359a084f1be3ff2775b4a",
     "eval-dae-perfect.csv":
         "ec241417a8d5ee9fccb18f8a52fdaa83e3bef438881b1f34d04502352dd04395",
     "imperfect.zicmodel":

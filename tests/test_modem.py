@@ -140,6 +140,24 @@ def test_rotation_search_memory_stays_in_blocks():
         tracemalloc.stop()
     assert peak < 512 * 1024, f"rotation search peaked at {peak / 1024:.0f} KB"
 
+def test_rx1_detection_memory_stays_in_groups():
+    # a block of 20 draws x 200 samples at 16-QAM: one hypothesis takes 32 KB
+    # per float temporary, all sixteen at once 512 KB (1.6 MB peak before
+    # grouping); the detected bits alone take 125 KB
+    rng = np.random.default_rng(3)
+    c1 = standard_qam(4)
+    c2 = Constellation((c1.points * np.exp(1j * rng.uniform(0, 1.5, 20))[:, None])[:, None], 4)
+    cross = (0.8 * np.exp(1j * rng.uniform(-np.pi, np.pi, 20)))[:, None]
+    y = rng.normal(size=(20, 200)) + 1j * rng.normal(size=(20, 200))
+    tracemalloc.start()
+    try:
+        detect_rx1(y, c1, c2, cross)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 640 * 1024, f"Rx1 detection peaked at {peak / 1024:.0f} KB"
+
+
 def test_detect_rx1_exact_hit():
     c1 = standard_qam(2, 1.0)
     c2 = rotate(standard_qam(2, 1.0), 0.4)
