@@ -184,17 +184,25 @@ class Transmitter:
                 + _named(f"{prefix}.net2", self.net2))
 
 
-def _column(value, n_rows: int) -> np.ndarray:
-    """A scalar, or one value per row, as an (n_rows, 1) column."""
-    return np.full((n_rows, 1), value) if np.ndim(value) == 0 else np.reshape(value, (n_rows, 1))
+# rows per slice of a frozen receiver pass, at most: a float32 activation of
+# 512 x 64 is 128 KB and stays in cache.  Decoding the 60 blocks of 4000 rows
+# of one eval-dae-perfect round (reused buffers, one BLAS thread), 1024 rows
+# were within noise of 512, 256 about 15 % slower, 2048 and 4096 25-35 %
+# slower.  Float32 bits depend on the slicing: a new value may move
+# probabilities in their last bit
+_DECODE_ROWS = 512
+
+
+def _column(value):
+    """A scalar as it is; one value per row as a column, broadcasting against (rows, k)."""
+    return value if np.ndim(value) == 0 else np.reshape(value, (-1, 1))
 
 
 class Receiver:
     """Channel output (+ CSI side inputs) -> per-bit probabilities.
 
     Each side input and the scale ``eta`` are a scalar or one value per row.
-    Inference (``training=False``) runs the dense stack in float32 and caches
-    nothing.
+    :meth:`forward` is the training pass; :meth:`decode` is inference.
     """
 
     def __init__(self, cfg: TrainConfig, n_extras: int, rng: np.random.Generator):
@@ -203,22 +211,47 @@ class Receiver:
         self.net = _trunk(2 + n_extras, cfg.n_bits, nn.SIGMOID, cfg, rng)
         self._cache = None
 
-    def forward(self, y: np.ndarray, extras: list, eta, training: bool) -> np.ndarray:
+    def _check(self, extras: list) -> None:
         if len(extras) != self.n_extras:
             raise ValueError(f"expected {self.n_extras} side inputs, got {len(extras)}")
-        eta = _column(eta, len(y))
-        yd = self.bpn.forward(y, training) * eta
+
+    def forward(self, y: np.ndarray, extras: list, eta) -> np.ndarray:
+        """Training pass on real-valued rows ``y`` of shape (rows, 2)."""
+        self._check(extras)
+        eta = _column(eta)
+        x = self.bpn.forward(y, True) * eta
         if extras:
-            x = np.concatenate([yd] + [_column(v, len(y)) for v in extras], axis=1)
-        else:
-            x = yd
-        if not training:  # frozen: float32 from the first layer's input to the sigmoid
-            x = x.astype(np.float32)
+            x = np.concatenate([x] + [np.broadcast_to(_column(v), (len(y), 1))
+                                      for v in extras], axis=1)
         for layer in self.net:
-            x = layer.forward(x, training)
-        if training:
-            self._cache = eta
+            x = layer.forward(x)
+        self._cache = eta
         return x
+
+    def decode(self, y: np.ndarray, extras: list, eta):
+        """Inference on the complex samples ``y``: ``(rows, probabilities)`` per slice.
+
+        The dense stack runs in float32 from the first layer's input to the
+        sigmoid, through :func:`nn.frozen_forward` in slices of at most
+        ``_DECODE_ROWS`` rows; each slice's probabilities are overwritten by
+        the next.  Nothing is cached.
+        """
+        self._check(extras)
+        y = np.ascontiguousarray(y, dtype=complex).view(float).reshape(-1, 2)
+        yd = self.bpn.forward(y, False)
+        yd *= _column(eta)
+        x = np.empty((len(y), 2 + self.n_extras), np.float32)
+        x[:, :2] = yd
+        for j, v in enumerate(extras, 2):
+            x[:, j:j + 1] = _column(v)
+        return nn.frozen_forward(self.net, x, _DECODE_ROWS)
+
+    def decide(self, y: np.ndarray, extras: list, eta) -> np.ndarray:
+        """Hard bits of :meth:`decode`, each slice's written straight into the output."""
+        hat = np.empty((len(y), self.net[-1].W.shape[0]), int)
+        for rows, p in self.decode(y, extras, eta):
+            np.greater(p, 0.5, out=hat[rows])
+        return hat
 
     def backward(self, grad_probs: np.ndarray) -> np.ndarray:
         eta = nn.take_cache(self)
@@ -246,9 +279,8 @@ class ZicAutoencoder:
 
     # -- wiring -----------------------------------------------------------
 
-    def _receive(self, y1: np.ndarray, y2: np.ndarray, knows: CsiInputs, noise_var: float,
-                 training: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Both receivers' bit probabilities for real-valued channel outputs.
+    def _side_inputs(self, knows: CsiInputs, noise_var: float) -> list[tuple[list, object]]:
+        """Each receiver's side inputs and input scale ``eta``, from what its node knows.
 
         Every field of ``knows`` is a scalar or one value per row.
         """
@@ -259,10 +291,9 @@ class ZicAutoencoder:
                 raise ValueError("imperfect mode needs theta_delta")
             extras1.append(knows.theta_delta)
         extras2 = [knows.sa_rx2] if arch.alpha_to_rx else []
-        eta1 = receiver_scale((1.0 + knows.sa_rx1**2) * arch.total_power, noise_var)
-        eta2 = receiver_scale(arch.total_power, noise_var)
-        return (self.rx1.forward(y1, extras1, eta1, training),
-                self.rx2.forward(y2, extras2, eta2, training))
+        return [(extras1, receiver_scale((1.0 + knows.sa_rx1**2) * arch.total_power,
+                                         noise_var)),
+                (extras2, receiver_scale(arch.total_power, noise_var))]
 
     def forward(self, bits1: np.ndarray, bits2: np.ndarray, eq: EquivalentChannel,
                 knows: CsiInputs, noise_var: float,
@@ -281,7 +312,8 @@ class ZicAutoencoder:
         y1 = nn.gaussian_noise(x1 @ H11.T + x2 @ H21.T, eq.noise_var_rx1 / 2.0, rng)
         y2 = nn.gaussian_noise(x2 @ H22.T, eq.noise_var_rx2 / 2.0, rng)
         self._cache = (H11, H21, H22)
-        return self._receive(y1, y2, knows, noise_var, training=True)
+        (extras1, eta1), (extras2, eta2) = self._side_inputs(knows, noise_var)
+        return self.rx1.forward(y1, extras1, eta1), self.rx2.forward(y2, extras2, eta2)
 
     def backward(self, bits1: np.ndarray, bits2: np.ndarray,
                  p1: np.ndarray, p2: np.ndarray) -> None:
@@ -333,11 +365,12 @@ class ZicAutoencoder:
         the rows come from several channel draws, one value per row.
         ``noise_var`` is the noise power that the receivers' input scale
         assumes; ``DaeScheme`` passes the one of ``arch.train_snr_db``.
+        Each receiver decodes in float32 slices of at most ``_DECODE_ROWS``
+        rows (:meth:`Receiver.decode`), its layers cast once per call, and
+        writes each slice's decisions straight into its output.
         """
-        p1, p2 = self._receive(np.stack([y1.real, y1.imag], axis=1),
-                               np.stack([y2.real, y2.imag], axis=1), knows, noise_var,
-                               training=False)
-        return (p1 > 0.5).astype(int), (p2 > 0.5).astype(int)
+        return tuple(rx.decide(y, extras, eta) for rx, y, (extras, eta) in zip(
+            (self.rx1, self.rx2), (y1, y2), self._side_inputs(knows, noise_var)))
 
 
 def encode_constellation(model: ZicAutoencoder, sqrt_alpha: float

@@ -36,10 +36,6 @@ from .modem import Constellation
 
 _BLOCK_ROWS = 4096   # symbols per block of whole channel draws
 _CHUNK = 16384       # symbols per piece of a draw longer than a block
-# rows per receiver call of the autoencoder, at most: a float32 activation of
-# 512 x 64 is 128 KB and stays in cache.  On the eval-dae-perfect sweep (one
-# BLAS thread) 128, 256 and 4096 rows were 15-80 % slower; 1024 was within noise
-_DECODE_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -242,21 +238,19 @@ class DaeScheme(Scheme):
         return x1.reshape(shape), x2.reshape(shape)
 
     def detect(self, y1, y2, ctx: ChannelContext, cons):
-        """The routed model's receivers, in slices of at most ``_DECODE_ROWS`` rows,
-        their inputs scaled for the noise power of the model's training SNR."""
+        """The routed model's receivers on all samples in one ``receive`` call, their
+        inputs scaled for the noise power of the model's training SNR.
+
+        Per-draw node knowledge is spread to one value per sample; scalars stay.
+        """
         model = self.route(ctx.alpha)
-        noise_var = model.arch.noise_var(model.arch.train_snr_db)
         shape = np.shape(y1)
-        per_row = {f.name: np.broadcast_to(v, shape).ravel() for f in fields(ctx.csi)
-                   if (v := getattr(ctx.csi, f.name)) is not None}
-        y1, y2 = np.ravel(y1), np.ravel(y2)
-        step = math.ceil(len(y1) / math.ceil(len(y1) / _DECODE_ROWS))  # equal slices
-        hats = []
-        for start in range(0, len(y1), step):
-            rows = slice(start, start + step)
-            knows = replace(ctx.csi, **{k: v[rows] for k, v in per_row.items()})
-            hats.append(model.receive(y1[rows], y2[rows], knows, noise_var))
-        return tuple(np.concatenate(h).reshape(shape + (-1,)) for h in zip(*hats))
+        knows = replace(ctx.csi, **{f.name: np.broadcast_to(v, shape).ravel()
+                                    for f in fields(ctx.csi)
+                                    if np.ndim(v := getattr(ctx.csi, f.name))})
+        hats = model.receive(np.ravel(y1), np.ravel(y2), knows,
+                             model.arch.noise_var(model.arch.train_snr_db))
+        return tuple(h.reshape(shape + (self.n_bits,)) for h in hats)
 
 
 # -- simulation core ---------------------------------------------------------

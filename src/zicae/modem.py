@@ -234,7 +234,7 @@ def detect_rx1(y, c1: Constellation, c2: Constellation, hbar21) -> np.ndarray:
     cross = np.ascontiguousarray(cross).reshape(
         cross.shape[:1] + (1,) * (y.ndim + 1 - cross.ndim) + cross.shape[1:])
     shape = np.broadcast_shapes(y.shape, cross.shape[1:])  # the samples of one hypothesis
-    step = max(1, GROUP_BYTES // (8 * math.prod(shape)))
+    step = max(1, GROUP_BYTES // (8 * max(1, math.prod(shape))))
     best, second = np.full(shape, np.inf), np.full(shape, np.inf)
     label, unsure = np.zeros(shape, np.int8), np.zeros(shape, bool)  # < 64 level positions
     for first in range(0, c2.size, step):

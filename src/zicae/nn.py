@@ -11,8 +11,8 @@ exactly once in a computation graph.  Gradients are summed over the batch
 (losses carry their own 1/batch factor).
 
 A ``training=False`` forward of any layer reads the parameters and writes
-nothing.  A dense layer runs it in its input's dtype, casting the weights
-per call: the frozen receivers run in float32 that way.
+nothing.  The frozen receivers run in float32 through :func:`frozen_forward`,
+one in-place pass over row slices that casts the weights once per call.
 
 Besides the usual dense/residual blocks this module provides the two
 power-related normalizations of the transmitter: a multiplicative-only batch
@@ -21,6 +21,8 @@ row-wise power normalization that rescales vectors to a fixed total power.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -43,11 +45,14 @@ def take_cache(owner):
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    """Activation of the fresh pre-activation z; tanh overwrites z."""
+    """Activation of the fresh pre-activation z, written over z."""
     if kind == TANH:
         return np.tanh(z, out=z)
-    if kind == SIGMOID:
-        return 1.0 / (1.0 + np.exp(-z))
+    if kind == SIGMOID:  # 1 / (1 + exp(-z))
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        return np.divide(1.0, z, out=z)
     if kind == LINEAR:
         return z
     raise ValueError(f"unknown activation {kind!r}")
@@ -87,9 +92,8 @@ class Dense:
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         if x.shape[1] != self.W.shape[1]:
             raise ValueError(f"expected {self.W.shape[1]} input columns, got {x.shape[1]}")
-        # a per-call cast: Adam updates W and b in place, so a stored copy would go stale
-        z = x @ self.W.T.astype(x.dtype, copy=False)
-        z += self.b.astype(x.dtype, copy=False)
+        z = x @ self.W.T
+        z += self.b
         y = _activate(z, self.activation)
         if training:
             self._cache = (x, y)
@@ -128,6 +132,42 @@ class Residual:
 
     def grads(self) -> list[np.ndarray]:
         return self.inner.grads()
+
+
+def frozen_forward(stack: list, x: np.ndarray, max_rows: int):
+    """Inference of a stack of ``Dense`` and ``Residual`` layers in ``x``'s dtype.
+
+    Yields ``(rows, y)`` for each of the equal slices of at most ``max_rows``
+    rows of ``x``: ``y`` is the stack's output on ``x[rows]``, held in a
+    buffer that the next slice overwrites.  Each layer's weights are cast
+    once per call and used as the view ``W.astype(dtype).T``: float32 bits
+    depend on the operand layout of the matrix product.  Two buffers of one
+    slice take the layers' outputs in turn, so bias, activation and shortcut
+    run in place.  Nothing outlives the call: Adam updates W and b in place,
+    so a kept copy would go stale.
+    """
+    if not len(x):
+        return
+    step = math.ceil(len(x) / math.ceil(len(x) / max_rows))
+    layers = []
+    for layer in stack:
+        dense = layer.inner if isinstance(layer, Residual) else layer
+        layers.append((dense.W.astype(x.dtype).T, dense.b.astype(x.dtype), dense.activation,
+                       isinstance(layer, Residual)))
+    size = step * max(w.shape[1] for w, *_ in layers)
+    buffers = np.empty(size, x.dtype), np.empty(size, x.dtype)
+    for start in range(0, len(x), step):
+        y = x[start:start + step]
+        n = len(y)
+        for i, (w, b, activation, shortcut) in enumerate(layers):
+            z = buffers[i % 2][:n * w.shape[1]].reshape(n, w.shape[1])  # y is in the other
+            np.matmul(y, w, out=z)
+            z += b
+            _activate(z, activation)
+            if shortcut:
+                z += y
+            y = z
+        yield slice(start, start + n), y
 
 
 class BatchPowerNorm:

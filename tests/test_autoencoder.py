@@ -245,14 +245,19 @@ def test_trained_model_holds_no_batch_activations():
 
 
 def test_receive_holds_no_activations():
-    model, _ = train(TrainConfig(**{**MINI, "n_channels": 2, "epochs_per_channel": 2}))
-    held = _reachable_arrays(model)
+    cfg = TrainConfig(**{**MINI, "n_channels": 2, "epochs_per_channel": 2})
+    model, _ = train(cfg)
+    scheme = DaeScheme([model])
+    held = _reachable_arrays(scheme)
+    assert any(a is model.rx1.bpn.running_ms for a in held)
     kept = [a.copy() for a in held]
     rng = np.random.default_rng(8)
     y1, y2 = (rng.normal(size=4000) + 1j * rng.normal(size=4000) for _ in range(2))
     model.receive(y1, y2, CsiInputs(1.0, 1.0, 1.0), 0.1)
     encode_constellation(model, 0.95)
-    now = _reachable_arrays(model)
+    block = channel_context(cfg, 1.0, 10.0, rng, 8).block(slice(0, 8))
+    scheme.detect(y1.reshape(8, 500), y2.reshape(8, 500), block, scheme.constellations(block))
+    now = _reachable_arrays(scheme)
     assert [id(a) for a in now] == [id(a) for a in held]
     assert all(np.array_equal(a, k) for a, k in zip(now, kept))
 
@@ -291,10 +296,24 @@ def test_inference_between_forward_and_backward_leaves_the_gradients(batch, prob
 @pytest.mark.parametrize("sa_rx", [1.0, np.linspace(0.9, 1.1, 5)], ids=["scalar", "per-row"])
 def test_frozen_receiver_runs_in_float32(sa_rx):
     _, model = _mini_model()
-    y = np.random.default_rng(9).normal(size=(5, 2))
-    probs = model.rx1.forward(y, [sa_rx], np.full(5, 3.0), training=False)
+    y = np.random.default_rng(9).normal(size=(5, 2)) @ [1, 1j]
+    (rows, probs), = model.rx1.decode(y, [sa_rx], np.full(5, 3.0))
+    assert rows == slice(0, 5) and probs.shape == (5, 2)
     assert probs.dtype == np.float32
     assert model.rx1._cache is None
+
+
+def float32_probs(model: ZicAutoencoder, y1, y2, knows: CsiInputs, noise_var: float):
+    """Both frozen receivers' probabilities, gathered from the slices of their decode."""
+    probs = []
+    for rx, y, (extras, eta) in zip((model.rx1, model.rx2), (y1, y2),
+                                    model._side_inputs(knows, noise_var)):
+        p = np.empty((len(y), model.arch.n_bits), np.float32)
+        for rows, p_rows in rx.decode(y, extras, eta):
+            assert p_rows.dtype == np.float32, f"inference ran in {p_rows.dtype}"
+            p[rows] = p_rows
+        probs.append(p)
+    return probs
 
 
 def float64_probs(model: ZicAutoencoder, y1, y2, knows: CsiInputs, noise_var: float):
@@ -325,16 +344,69 @@ def assert_float32_agrees(model: ZicAutoencoder, y1, y2, knows: CsiInputs,
                           noise_var: float, tol: float = 1e-5) -> None:
     """Float32 probabilities within ``tol`` of float64, and decisions flipped only
     where the float64 probability is within ``tol`` of 0.5."""
-    got = model._receive(np.stack([y1.real, y1.imag], axis=1),
-                         np.stack([y2.real, y2.imag], axis=1), knows, noise_var,
-                         training=False)
+    got = float32_probs(model, y1, y2, knows, noise_var)
     hats = model.receive(y1, y2, knows, noise_var)
     for p32, p64, hat in zip(got, float64_probs(model, y1, y2, knows, noise_var), hats):
-        assert p32.dtype == np.float32, f"inference ran in {p32.dtype}"
         dp = float(np.max(np.abs(p32 - p64)))
         assert dp <= tol, f"float32 probabilities differ by {dp:.2e}"
         flipped = hat != (p64 > 0.5)
         assert np.all(np.abs(p64[flipped] - 0.5) < tol), "a clear decision flipped"
+
+
+def per_layer_float32(rx, x: np.ndarray) -> np.ndarray:
+    """A receiver's float32 probabilities on the first-layer inputs ``x``, layer by
+    layer with a new array per step: the arithmetic the one-pass decoder replaced."""
+    for layer in rx.net:
+        dense = layer.inner if isinstance(layer, nn.Residual) else layer
+        z = x @ dense.W.astype(np.float32).T
+        z += dense.b.astype(np.float32)
+        if dense.activation == nn.TANH:
+            np.tanh(z, out=z)
+        elif dense.activation == nn.SIGMOID:
+            z = 1.0 / (1.0 + np.exp(-z))
+        x = x + z if isinstance(layer, nn.Residual) else z
+    return x
+
+
+DECODER_ARCHS = {"proposed": {}, "no-shortcuts": {"use_shortcuts": False},
+                 "no-alpha-to-rx": {"alpha_to_rx": False}, "no-res-blocks": {"n_res_blocks": 0}}
+
+
+@pytest.mark.parametrize("side", ["scalar", "per-row"])
+@pytest.mark.parametrize("arch", list(DECODER_ARCHS))
+@pytest.mark.parametrize("csi_mode", ["perfect", "imperfect"])
+def test_decoder_is_bit_identical_to_the_per_layer_path(csi_mode, arch, side):
+    rng = np.random.default_rng(31)
+    model = ZicAutoencoder(TrainConfig(n_channels=0, csi_mode=csi_mode, **DECODER_ARCHS[arch]),
+                           rng)
+    for layer in model._layers():  # nonzero biases and running statistics
+        layer.params()[1][:] = rng.normal(0.0, 0.3, layer.params()[1].shape)
+    model.rx1.bpn.running_ms[:] = (0.8, 1.3)
+    model.rx2.bpn.running_ms[:] = (1.2, 0.7)
+    noise_var = model.arch.noise_var(10.0)
+    for n in (1, 7, 511, 512, 513, 1000, 4000):
+        y1, y2 = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+        if side == "scalar":
+            knows = CsiInputs(1.0, 0.95, 1.05, 0.1 if csi_mode == IMPERFECT else None)
+        else:
+            knows = CsiInputs(1.0, rng.uniform(0.5, 1.5, n), rng.uniform(0.5, 1.5, n),
+                              rng.uniform(-0.4, 0.4, n) if csi_mode == IMPERFECT else None)
+        hats = model.receive(y1, y2, knows, noise_var)
+        for rx, y, (extras, eta), hat in zip((model.rx1, model.rx2), (y1, y2),
+                                             model._side_inputs(knows, noise_var), hats):
+            # the first-layer input as the per-layer path built it
+            x = np.concatenate([rx.bpn.forward(np.stack([y.real, y.imag], axis=1), False)
+                                * np.broadcast_to(eta, n)[:, None]]
+                               + [np.broadcast_to(v, n)[:, None] for v in extras],
+                               axis=1).astype(np.float32)
+            slices = [(rows, p.copy()) for rows, p in rx.decode(y, extras, eta)]
+            step = math.ceil(n / math.ceil(n / 512))  # equal slices of at most 512 rows
+            assert [rows for rows, _ in slices] == [slice(a, min(a + step, n))
+                                                    for a in range(0, n, step)]
+            for rows, p in slices:
+                want = per_layer_float32(rx, x[rows])
+                assert p.dtype == np.float32 and np.array_equal(p, want), (n, rows)
+                assert np.array_equal(hat[rows], want > 0.5)
 
 
 @pytest.fixture(scope="module")

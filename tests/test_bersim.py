@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,6 +343,50 @@ def test_block_dae_decode_equals_per_draw_receive(mode, snr_db):
         ref1, ref2 = model.receive(y1[d], y2[d], _draw_csi(ctx, d),
                                    model.arch.noise_var(model.arch.train_snr_db))
         assert np.array_equal(hat1[d], ref1) and np.array_equal(hat2[d], ref2)
+
+
+def _untrained_dae(mode, **arch):
+    return DaeScheme([ZicAutoencoder(TrainConfig(n_channels=0, alpha_min=0.5, alpha_max=1.5,
+                                                 csi_mode=mode, **arch),
+                                     np.random.default_rng(3))])
+
+
+@pytest.mark.parametrize("mode", ["perfect", "imperfect"])
+@pytest.mark.parametrize("name", ["baseline1", "baseline2", "dae"])
+def test_zero_samples_detect_to_empty_bits(name, mode):
+    scheme = {"baseline1": lambda: Baseline1(2), "baseline2": lambda: Baseline2(2),
+              "dae": lambda: _untrained_dae(mode, hidden_width=8, subnet2_width=4)}[name]()
+    cfg = EvalConfig(csi_mode=mode, sigma_e2=0.05, n_q=2, n_channel_draws=6)
+    ctx = draw_context(cfg, 1.0, 10.0, np.random.default_rng(4))
+    block, block_cons = next(bersim._blocks(ctx, scheme.constellations(ctx), 1))
+    one = ctx.draw(0)
+    for c, cons, y in ((block, block_cons, np.zeros((6, 0), complex)),
+                       (one, scheme.constellations(one), np.zeros(0, complex))):
+        hat1, hat2 = scheme.detect(y, y, c, cons)
+        assert hat1.shape == hat2.shape == y.shape + (2,)
+
+
+# a 4000-row block at hidden width 64 peaked at 494 KiB (perfect) and 650 KiB
+# (imperfect CSI, four per-sample side inputs); its activations whole would be 1000 KiB
+_DETECT_PEAK_BYTES = 768 * 1024
+
+
+@pytest.mark.parametrize("mode", ["perfect", "imperfect"])
+def test_dae_detect_memory_is_bounded(mode):
+    scheme = _untrained_dae(mode)
+    cfg = EvalConfig(csi_mode=mode, sigma_e2=0.05, n_q=2, n_channel_draws=8)
+    rng = np.random.default_rng(5)
+    block = draw_context(cfg, 1.0, 10.0, rng).block(slice(0, 8))
+    cons = scheme.constellations(block)
+    y1, y2 = (rng.normal(size=(8, 500)) + 1j * rng.normal(size=(8, 500)) for _ in range(2))
+    scheme.detect(y1, y2, block, cons)  # lazy set-up outside the measurement
+    tracemalloc.start()
+    try:
+        scheme.detect(y1, y2, block, cons)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _DETECT_PEAK_BYTES, f"detecting 4000 rows peaked at {peak} bytes"
 
 
 def test_dae_ber_falls_above_the_training_snr(desk_model):

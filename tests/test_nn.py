@@ -192,7 +192,9 @@ def test_inference_forward_runs_in_input_dtype_and_caches_nothing(kind, residual
     inner = nn.Dense(3, 3, kind, rng=rng)
     layer = nn.Residual(inner) if residual else inner
     x = rng.normal(size=(4, 3))
-    y32 = layer.forward(x.astype(np.float32), training=False)
+    slices = [(rows, y.copy()) for rows, y in nn.frozen_forward([layer], x.astype(np.float32), 2)]
+    assert [rows for rows, _ in slices] == [slice(0, 2), slice(2, 4)]
+    y32 = np.concatenate([y for _, y in slices])
     assert y32.dtype == np.float32
     assert inner._cache is None
     with pytest.raises(RuntimeError, match="Dense.backward"):
