@@ -193,15 +193,12 @@ class Transmitter:
 _DECODE_ROWS = 512
 
 
-def _column(value):
-    """A scalar as it is; one value per row as a column, broadcasting against (rows, k)."""
-    return value if np.ndim(value) == 0 else np.reshape(value, (-1, 1))
-
-
 class Receiver:
     """Channel output (+ CSI side inputs) -> per-bit probabilities.
 
-    Each side input and the scale ``eta`` are a scalar or one value per row.
+    Samples of any shape S go through the network as rows in C order; ``eta``
+    and each side input are scalars or arrays that broadcast against S, as a
+    block's (B, 1) per-draw columns do against its (B, n) samples.
     :meth:`forward` is the training pass; :meth:`decode` is inference.
     """
 
@@ -211,18 +208,20 @@ class Receiver:
         self.net = _trunk(2 + n_extras, cfg.n_bits, nn.SIGMOID, cfg, rng)
         self._cache = None
 
-    def _check(self, extras: list) -> None:
+    def _input(self, y: np.ndarray, extras: list, eta, training: bool) -> np.ndarray:
+        """First-layer input rows: the power-normalized real pairs ``y`` (S + (2,)) times
+        ``eta``, then each side input, broadcast over S; float64 to train, float32 to decode."""
         if len(extras) != self.n_extras:
             raise ValueError(f"expected {self.n_extras} side inputs, got {len(extras)}")
+        x = np.empty(y.shape[:-1] + (2 + self.n_extras,), float if training else np.float32)
+        np.multiply(self.bpn.forward(y, training), np.expand_dims(eta, -1), out=x[..., :2])
+        for j, v in enumerate(extras, 2):
+            x[..., j] = v
+        return x.reshape(-1, x.shape[-1])
 
     def forward(self, y: np.ndarray, extras: list, eta) -> np.ndarray:
         """Training pass on real-valued rows ``y`` of shape (rows, 2)."""
-        self._check(extras)
-        eta = _column(eta)
-        x = self.bpn.forward(y, True) * eta
-        if extras:
-            x = np.concatenate([x] + [np.broadcast_to(_column(v), (len(y), 1))
-                                      for v in extras], axis=1)
+        x = self._input(y, extras, eta, True)
         for layer in self.net:
             x = layer.forward(x)
         self._cache = eta
@@ -236,29 +235,22 @@ class Receiver:
         ``_DECODE_ROWS`` rows; each slice's probabilities are overwritten by
         the next.  Nothing is cached.
         """
-        self._check(extras)
-        y = np.ascontiguousarray(y, dtype=complex).view(float).reshape(-1, 2)
-        yd = self.bpn.forward(y, False)
-        yd *= _column(eta)
-        x = np.empty((len(y), 2 + self.n_extras), np.float32)
-        x[:, :2] = yd
-        for j, v in enumerate(extras, 2):
-            x[:, j:j + 1] = _column(v)
-        return nn.frozen_forward(self.net, x, _DECODE_ROWS)
+        pairs = np.ascontiguousarray(y, dtype=complex).view(float).reshape(np.shape(y) + (2,))
+        return nn.frozen_forward(self.net, self._input(pairs, extras, eta, False), _DECODE_ROWS)
 
     def decide(self, y: np.ndarray, extras: list, eta) -> np.ndarray:
-        """Hard bits of :meth:`decode`, each slice's written straight into the output."""
-        hat = np.empty((len(y), self.net[-1].W.shape[0]), int)
+        """Hard bits of :meth:`decode` of shape S + (n_bits,), written slice by slice."""
+        hat = np.empty((np.size(y), self.net[-1].W.shape[0]), int)
         for rows, p in self.decode(y, extras, eta):
             np.greater(p, 0.5, out=hat[rows])
-        return hat
+        return hat.reshape(np.shape(y) + hat.shape[1:])
 
     def backward(self, grad_probs: np.ndarray) -> np.ndarray:
         eta = nn.take_cache(self)
         g = grad_probs
         for layer in reversed(self.net):
             g = layer.backward(g)
-        return self.bpn.backward(g[:, :2] * eta)
+        return self.bpn.backward(g[:, :2] * np.expand_dims(eta, -1))
 
     def arrays(self, prefix: str) -> list[tuple[str, np.ndarray]]:
         return ([(f"{prefix}.bpn.running_ms", self.bpn.running_ms)]
@@ -282,7 +274,8 @@ class ZicAutoencoder:
     def _side_inputs(self, knows: CsiInputs, noise_var: float) -> list[tuple[list, object]]:
         """Each receiver's side inputs and input scale ``eta``, from what its node knows.
 
-        Every field of ``knows`` is a scalar or one value per row.
+        Each field of ``knows`` is a scalar or an array that broadcasts
+        against the samples, and so are the side inputs and scales it gives.
         """
         arch = self.arch
         extras1 = [knows.sa_rx1] if arch.alpha_to_rx else []
@@ -361,13 +354,14 @@ class ZicAutoencoder:
                 noise_var: float) -> tuple[np.ndarray, np.ndarray]:
         """Inference-mode decoding of complex channel outputs to hard bits.
 
-        ``y1``/``y2`` are 1-D; the fields of ``knows`` are scalars or, when
-        the rows come from several channel draws, one value per row.
+        ``y1``/``y2`` may have any shape S; the bits come back in S + (n_bits,).
+        Each field of ``knows`` is a scalar or broadcasts against S, as a
+        block's (B, 1) per-draw columns do against its (B, n) samples.
         ``noise_var`` is the noise power that the receivers' input scale
-        assumes; ``DaeScheme`` passes the one of ``arch.train_snr_db``.
-        Each receiver decodes in float32 slices of at most ``_DECODE_ROWS``
-        rows (:meth:`Receiver.decode`), its layers cast once per call, and
-        writes each slice's decisions straight into its output.
+        assumes; ``DaeScheme`` passes the one of ``arch.train_snr_db``.  Each
+        receiver decodes in float32 slices of at most ``_DECODE_ROWS`` rows
+        (:meth:`Receiver.decode`), its layers cast once per call, and writes
+        each slice's decisions straight into its output.
         """
         return tuple(rx.decide(y, extras, eta) for rx, y, (extras, eta) in zip(
             (self.rx1, self.rx2), (y1, y2), self._side_inputs(knows, noise_var)))

@@ -16,7 +16,7 @@ points are independent work units and every run is reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -145,7 +145,8 @@ class Scheme:
     when common to all draws, (K, M) when not.  ``transmit`` and ``detect``
     take bit rows of shape (B, n, n_bits) and samples of shape (B, n) from a
     block of B draws (``ctx.block``, with the per-draw points cut to
-    (B, 1, M)), or (n, n_bits) and (n,) from one channel.
+    (B, 1, M)), or (n, n_bits) and (n,) from one channel; the context's
+    per-draw fields, (B, 1) columns in a block, broadcast against them.
     """
 
     def transmit(self, bits1, bits2, ctx: ChannelContext, cons=None):
@@ -238,19 +239,10 @@ class DaeScheme(Scheme):
         return x1.reshape(shape), x2.reshape(shape)
 
     def detect(self, y1, y2, ctx: ChannelContext, cons):
-        """The routed model's receivers on all samples in one ``receive`` call, their
-        inputs scaled for the noise power of the model's training SNR.
-
-        Per-draw node knowledge is spread to one value per sample; scalars stay.
-        """
+        """The routed model's receivers on the samples as they are, their inputs scaled
+        for the noise power of the model's training SNR."""
         model = self.route(ctx.alpha)
-        shape = np.shape(y1)
-        knows = replace(ctx.csi, **{f.name: np.broadcast_to(v, shape).ravel()
-                                    for f in fields(ctx.csi)
-                                    if np.ndim(v := getattr(ctx.csi, f.name))})
-        hats = model.receive(np.ravel(y1), np.ravel(y2), knows,
-                             model.arch.noise_var(model.arch.train_snr_db))
-        return tuple(h.reshape(shape + (self.n_bits,)) for h in hats)
+        return model.receive(y1, y2, ctx.csi, model.arch.noise_var(model.arch.train_snr_db))
 
 
 # -- simulation core ---------------------------------------------------------

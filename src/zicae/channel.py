@@ -121,7 +121,8 @@ def _parse(name: str, kind, base, raw: dict[str, str]):
 def rule(default, lo=None, hi=None, open_lo=False):
     """A config field whose values lie in [lo, hi], open at lo if ``open_lo``; None: no bound.
 
-    Floats, complex parts and grid entries must also be finite, and grids non-empty.
+    Floats, complex parts and grid entries must also be finite, and grids non-empty;
+    an SNR's noise power must be finite and > 0.
     """
     return field(default=default, metadata={"rule": (lo, hi, open_lo)})
 
@@ -171,6 +172,14 @@ class ChannelConfig:
                     raise ValueError(f"{key} must be {'>' if open_lo else '>='} {lo}, got {v!r}")
                 if hi is not None and v > hi:
                     raise ValueError(f"{key} must be <= {hi}, got {v!r}")
+                if "snr" in key:  # an SNR field: its noise power must be positive and finite
+                    try:
+                        nv = self.noise_var(v)
+                    except ArithmeticError:  # 10**(v/10) overflows, or is 0 and divides
+                        nv = 0.0
+                    if not 0 < nv < math.inf:
+                        raise ValueError(f"{key} must be an SNR whose noise power "
+                                         f"total_power / 10**(dB/10) is finite and > 0, got {v!r}")
         if self.mu_h == 0 and self.sigma_h2 == 0:
             raise ValueError("mu_h_re = mu_h_im = 0 with sigma_h2 = 0 makes every direct "
                              "gain zero, which cannot be normalized out")
@@ -233,11 +242,13 @@ class EstimatedChannel:
 
 @dataclass(frozen=True)
 class CsiInputs:
-    """Interference knowledge available at each node for one channel.
+    """Interference knowledge available at each node, per channel draw.
 
     sa_* are sqrt-intensity values: the transmitters and Rx2 see the fed-back
     (possibly quantized) value, Rx1 its own non-quantized estimate plus the
-    residual feedback angle (None under perfect CSI).
+    residual feedback angle (None under perfect CSI).  Each field is a
+    scalar or holds one value per draw: (K,) for a round of K draws, (B, 1)
+    columns for a block, which broadcast against its (B, n) samples.
     """
 
     sa_tx: float

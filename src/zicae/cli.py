@@ -320,7 +320,8 @@ def main(argv=None) -> int:
     except (ConfigError, RejectionLimitError, LookupError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, LookupError) else 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
+        log.debug("unexpected error in %s", args.command, exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

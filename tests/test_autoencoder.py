@@ -1,6 +1,6 @@
 import copy
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -407,6 +407,29 @@ def test_decoder_is_bit_identical_to_the_per_layer_path(csi_mode, arch, side):
                 want = per_layer_float32(rx, x[rows])
                 assert p.dtype == np.float32 and np.array_equal(p, want), (n, rows)
                 assert np.array_equal(hat[rows], want > 0.5)
+
+
+@pytest.mark.parametrize("side", ["scalar", "per-draw"])
+@pytest.mark.parametrize("csi_mode", ["perfect", "imperfect"])
+def test_block_receive_equals_flat_receive(csi_mode, side):
+    rng = np.random.default_rng(41)
+    model = ZicAutoencoder(TrainConfig(n_channels=0, csi_mode=csi_mode, hidden_width=16,
+                                       subnet2_width=4), rng)
+    noise_var = model.arch.noise_var(10.0)
+    for b, n in ((6, 300), (5, 1), (3, 0)):
+        y1, y2 = (rng.normal(size=(b, n)) + 1j * rng.normal(size=(b, n)) for _ in range(2))
+        if side == "scalar":
+            sa, theta = (1.0, 0.95, 1.05), 0.1
+        else:
+            sa, theta = rng.uniform(0.5, 1.5, (3, b, 1)), rng.uniform(-0.4, 0.4, (b, 1))
+        knows = CsiInputs(*sa, theta if csi_mode == IMPERFECT else None)
+        # the same knowledge per row of the flattened samples
+        flat = replace(knows, **{f.name: np.broadcast_to(v, (b, n)).ravel()
+                                 for f in fields(knows) if np.ndim(v := getattr(knows, f.name))})
+        hats = model.receive(y1, y2, knows, noise_var)
+        refs = model.receive(y1.ravel(), y2.ravel(), flat, noise_var)
+        for hat, ref in zip(hats, refs):
+            assert hat.shape == (b, n, 2) and np.array_equal(hat, ref.reshape(b, n, 2))
 
 
 @pytest.fixture(scope="module")

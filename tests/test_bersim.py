@@ -366,9 +366,10 @@ def test_zero_samples_detect_to_empty_bits(name, mode):
         assert hat1.shape == hat2.shape == y.shape + (2,)
 
 
-# a 4000-row block at hidden width 64 peaked at 494 KiB (perfect) and 650 KiB
-# (imperfect CSI, four per-sample side inputs); its activations whole would be 1000 KiB
-_DETECT_PEAK_BYTES = 768 * 1024
+# a 4000-row block at hidden width 64 peaks at 493 KiB under either CSI mode.  The
+# bound sits below 650 KiB, the imperfect-CSI peak with the per-draw knowledge spread
+# to one value per sample, and the block's activations whole would take 1000 KiB
+_DETECT_PEAK_BYTES = 576 * 1024
 
 
 @pytest.mark.parametrize("mode", ["perfect", "imperfect"])

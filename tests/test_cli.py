@@ -486,9 +486,12 @@ def _rule_violations():
     """``(command, key, text)`` for each way a numeric config key can break its rule.
 
     Below the lower bound (at it, if it is open), above the upper bound, and
-    inf and nan for float keys; a grid is also tried empty.
+    inf and nan for float keys; a grid is also tried empty.  An SNR whose
+    noise power overflows or underflows to zero breaks the rule too.
     """
-    cases = [("train", "n_q", "1100"), ("eval", "n_q", "1100")]
+    cases = [("train", "n_q", "1100"), ("eval", "n_q", "1100"),
+             ("eval", "snr_grid_db", "4000"), ("eval", "snr_grid_db", "-4000"),
+             ("train", "train_snr_db", "4000")]
     for key in sorted(CONFIG_KEYS):
         for command, cls in (("train", TrainConfig), ("eval", EvalConfig)):
             f = {f.name: f for f in fields(cls)}.get(key.removesuffix("_re").removesuffix("_im"))
@@ -538,6 +541,21 @@ def test_always_zero_direct_gain_exits_2(tmp_path, capsys, command, text, extra)
     assert rc == 2
     err = capsys.readouterr().err
     assert "mu_h_re" in err and "sigma_h2" in err
+
+
+def test_unexpected_error_exits_1_and_logs_its_traceback(tmp_path, capsys, caplog,
+                                                        monkeypatch):
+    def broken(cfg):
+        raise RuntimeError("broken on purpose")
+
+    monkeypatch.setattr(cli, "train", broken)
+    monkeypatch.setenv("ZIC_LOG", "DEBUG")
+    caplog.set_level(logging.DEBUG, logger="zicae")
+    cfg = _write(tmp_path, "t.cfg", TINY_TRAIN)
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.zicmodel")]) == 1
+    assert "error: broken on purpose" in capsys.readouterr().err
+    record, = [r for r in caplog.records if r.exc_info]
+    assert record.levelno == logging.DEBUG and record.exc_info[0] is RuntimeError
 
 
 def test_eval_has_no_threads_option(tmp_path):
