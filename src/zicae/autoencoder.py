@@ -191,6 +191,14 @@ class Transmitter:
 # slower.  Float32 bits depend on the slicing: a new value may move
 # probabilities in their last bit
 _DECODE_ROWS = 512
+# rows per slice of a receiver training pass, at most.  At width 64 with one
+# BLAS thread, a batch-1000 step in two 500-row slices took 5 % longer than in
+# one pass (median CPU time, 9 of 10 alternating process pairs), so batch
+# 1000 stays one slice.  At batch 10000, slices of 512, 1024 and 2048 rows and
+# the whole-batch pass were within noise of each other; smaller slices hold
+# less memory.  The float64 gradient sums change order with the slicing, so a
+# new value moves trained models in their last bits
+_TRAIN_ROWS = 1024
 
 
 class Receiver:
@@ -199,7 +207,9 @@ class Receiver:
     Samples of any shape S go through the network as rows in C order; ``eta``
     and each side input are scalars or arrays that broadcast against S, as a
     block's (B, 1) per-draw columns do against its (B, n) samples.
-    :meth:`forward` is the training pass; :meth:`decode` is inference.
+    :meth:`train_pass` is the training pass: it runs the trunk's forward,
+    loss gradient and backward slice by slice, and :meth:`input_grad`
+    finishes it at the input norm.  :meth:`decode` is inference.
     """
 
     def __init__(self, cfg: TrainConfig, n_extras: int, rng: np.random.Generator):
@@ -219,13 +229,31 @@ class Receiver:
             x[..., j] = v
         return x.reshape(-1, x.shape[-1])
 
-    def forward(self, y: np.ndarray, extras: list, eta) -> np.ndarray:
-        """Training pass on real-valued rows ``y`` of shape (rows, 2)."""
+    def train_pass(self, y: np.ndarray, extras: list, eta, bits: np.ndarray) -> np.ndarray:
+        """Training pass on real-valued rows ``y`` of shape (rows, 2) with labels ``bits``.
+
+        The input power norm sees the whole batch.  The trunk then runs
+        forward, cross-entropy gradient and backward on each of the
+        :func:`nn.row_slices` of at most ``_TRAIN_ROWS`` rows, so no
+        activation outlives its slice; the first slice writes each layer's
+        dW/db and later slices add to them.  Returns the bit probabilities of
+        the whole batch and keeps the gradient at the trunk's first two input
+        columns for :meth:`input_grad`.
+        """
         x = self._input(y, extras, eta, True)
-        for layer in self.net:
-            x = layer.forward(x)
-        self._cache = eta
-        return x
+        probs = np.empty((len(x), self.net[-1].W.shape[0]))
+        grad = np.empty((len(x), 2))
+        for i, rows in enumerate(nn.row_slices(len(x), _TRAIN_ROWS)):
+            p = x[rows]
+            for layer in self.net:
+                p = layer.forward(p)
+            probs[rows] = p
+            g = nn.bce_loss_grad(bits[rows], p, len(x))
+            for layer in reversed(self.net):
+                g = layer.backward(g, accumulate=i > 0)
+            grad[rows] = g[:, :2]
+        self._cache = (eta, grad)
+        return probs
 
     def decode(self, y: np.ndarray, extras: list, eta):
         """Inference on the complex samples ``y``: ``(rows, probabilities)`` per slice.
@@ -245,12 +273,10 @@ class Receiver:
             np.greater(p, 0.5, out=hat[rows])
         return hat.reshape(np.shape(y) + hat.shape[1:])
 
-    def backward(self, grad_probs: np.ndarray) -> np.ndarray:
-        eta = nn.take_cache(self)
-        g = grad_probs
-        for layer in reversed(self.net):
-            g = layer.backward(g)
-        return self.bpn.backward(g[:, :2] * np.expand_dims(eta, -1))
+    def input_grad(self) -> np.ndarray:
+        """Gradient at the rows ``y`` of the latest :meth:`train_pass`, once."""
+        eta, grad = nn.take_cache(self)
+        return self.bpn.backward(grad * np.expand_dims(eta, -1))
 
     def arrays(self, prefix: str) -> list[tuple[str, np.ndarray]]:
         return ([(f"{prefix}.bpn.running_ms", self.bpn.running_ms)]
@@ -293,6 +319,9 @@ class ZicAutoencoder:
                 rng: np.random.Generator | None) -> tuple[np.ndarray, np.ndarray]:
         """Training-mode system pass; returns the two receivers' bit probabilities.
 
+        The receivers also run their trunks' backward against the labels
+        ``bits1``/``bits2`` slice by slice (:meth:`Receiver.train_pass`), so
+        their dW/db are set on return; :meth:`backward` finishes the step.
         ``noise_var`` is the nominal (pre-normalization) noise power used for
         the desired-signal scaling; the actual injected noise follows the
         per-receiver variances of ``eq``.  ``rng=None`` disables noise.
@@ -306,14 +335,18 @@ class ZicAutoencoder:
         y2 = nn.gaussian_noise(x2 @ H22.T, eq.noise_var_rx2 / 2.0, rng)
         self._cache = (H11, H21, H22)
         (extras1, eta1), (extras2, eta2) = self._side_inputs(knows, noise_var)
-        return self.rx1.forward(y1, extras1, eta1), self.rx2.forward(y2, extras2, eta2)
+        return (self.rx1.train_pass(y1, extras1, eta1, bits1),
+                self.rx2.train_pass(y2, extras2, eta2, bits2))
 
-    def backward(self, bits1: np.ndarray, bits2: np.ndarray,
-                 p1: np.ndarray, p2: np.ndarray) -> None:
-        """Backpropagate the summed cross-entropy of the latest forward pass, once."""
+    def backward(self) -> None:
+        """Finish backpropagating the summed cross-entropy of the latest forward, once.
+
+        The receivers' trunks ran their backward within :meth:`forward`; this
+        runs their input norms, the cross links and the transmitters.
+        """
         H11, H21, H22 = nn.take_cache(self)
-        gy1 = self.rx1.backward(nn.bce_loss_grad(bits1, p1))
-        gy2 = self.rx2.backward(nn.bce_loss_grad(bits2, p2))
+        gy1 = self.rx1.input_grad()
+        gy2 = self.rx2.input_grad()
         self.tx1.backward(gy1 @ H11)
         self.tx2.backward(gy1 @ H21 + gy2 @ H22)
 
@@ -402,7 +435,7 @@ def train(cfg: TrainConfig) -> tuple[ZicAutoencoder, list[dict]]:
                 raise TrainingDiverged(
                     f"non-finite loss {loss} at channel {i_ch}, epoch {i_ep}, "
                     f"alpha={alpha:.4f}, lr={opt.lr:.3e}")
-            model.backward(bits1, bits2, p1, p2)
+            model.backward()
             opt.step(model.grads())
             losses.append(loss)
         if (i_ch + 1) % cfg.decay_every == 0:

@@ -8,7 +8,11 @@ backward, and run the backwards in reverse layer order.  A backward with no
 cache to consume raises RuntimeError.  A tanh layer's backward writes over
 its forward output, which is dead by then.  Each layer instance appears
 exactly once in a computation graph.  Gradients are summed over the batch
-(losses carry their own 1/batch factor).
+(losses carry their own 1/batch factor).  A batch may also go through a
+stack in row slices, each slice's forward followed by its backward:
+``backward(grad, accumulate=True)`` adds a slice's dW/db to what the first
+slice wrote, and :func:`bce_loss_grad` divides by the whole batch's rows.
+:func:`row_slices` is the one slicing rule, for training and inference.
 
 A ``training=False`` forward of any layer reads the parameters and writes
 nothing.  The frozen receivers run in float32 through :func:`frozen_forward`,
@@ -99,11 +103,16 @@ class Dense:
             self._cache = (x, y)
         return y
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray, accumulate: bool = False) -> np.ndarray:
+        """Input gradient; dW/db are written, or added to with ``accumulate``."""
         x, y = take_cache(self)
         gz = _activation_grad(y, grad_out, self.activation)
-        self.dW = gz.T @ x
-        self.db = gz.sum(axis=0)
+        if accumulate:
+            self.dW += gz.T @ x
+            self.db += gz.sum(axis=0)
+        else:
+            self.dW = gz.T @ x
+            self.db = gz.sum(axis=0)
         return gz @ self.W
 
     def params(self) -> list[np.ndarray]:
@@ -122,8 +131,8 @@ class Residual:
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         return x + self.inner.forward(x, training)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad_in = self.inner.backward(grad_out)
+    def backward(self, grad_out: np.ndarray, accumulate: bool = False) -> np.ndarray:
+        grad_in = self.inner.backward(grad_out, accumulate)
         grad_in += grad_out
         return grad_in
 
@@ -134,21 +143,34 @@ class Residual:
         return self.inner.grads()
 
 
+def row_slices(n: int, max_rows: int) -> list[slice]:
+    """Equal slices of at most ``max_rows`` rows that cover ``range(n)`` in order.
+
+    Each is ``ceil(n / ceil(n / max_rows))`` rows long, the last one
+    shorter if needed: 1000 rows in slices of at most 512 go as 500 + 500.
+    """
+    if not n:
+        return []
+    step = math.ceil(n / math.ceil(n / max_rows))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
 def frozen_forward(stack: list, x: np.ndarray, max_rows: int):
     """Inference of a stack of ``Dense`` and ``Residual`` layers in ``x``'s dtype.
 
-    Yields ``(rows, y)`` for each of the equal slices of at most ``max_rows``
-    rows of ``x``: ``y`` is the stack's output on ``x[rows]``, held in a
-    buffer that the next slice overwrites.  Each layer's weights are cast
-    once per call and used as the view ``W.astype(dtype).T``: float32 bits
-    depend on the operand layout of the matrix product.  Two buffers of one
+    Yields ``(rows, y)`` for each of the :func:`row_slices` of at most
+    ``max_rows`` rows of ``x``: ``y`` is the stack's output on ``x[rows]``,
+    held in a buffer that the next slice overwrites.  Each layer's weights
+    are cast once per call and used as the view ``W.astype(dtype).T``:
+    float32 bits depend on the operand layout of the matrix product.  Two buffers of one
     slice take the layers' outputs in turn, so bias, activation and shortcut
     run in place.  Nothing outlives the call: Adam updates W and b in place,
     so a kept copy would go stale.
     """
-    if not len(x):
+    slices = row_slices(len(x), max_rows)
+    if not slices:
         return
-    step = math.ceil(len(x) / math.ceil(len(x) / max_rows))
+    step = slices[0].stop
     layers = []
     for layer in stack:
         dense = layer.inner if isinstance(layer, Residual) else layer
@@ -156,8 +178,8 @@ def frozen_forward(stack: list, x: np.ndarray, max_rows: int):
                        isinstance(layer, Residual)))
     size = step * max(w.shape[1] for w, *_ in layers)
     buffers = np.empty(size, x.dtype), np.empty(size, x.dtype)
-    for start in range(0, len(x), step):
-        y = x[start:start + step]
+    for rows in slices:
+        y = x[rows]
         n = len(y)
         for i, (w, b, activation, shortcut) in enumerate(layers):
             z = buffers[i % 2][:n * w.shape[1]].reshape(n, w.shape[1])  # y is in the other
@@ -167,7 +189,7 @@ def frozen_forward(stack: list, x: np.ndarray, max_rows: int):
             if shortcut:
                 z += y
             y = z
-        yield slice(start, start + n), y
+        yield rows, y
 
 
 class BatchPowerNorm:
@@ -241,11 +263,14 @@ def bce_loss(s: np.ndarray, s_hat: np.ndarray) -> float:
     return float(-(s * np.log(p) + (1.0 - s) * np.log(1.0 - p)).sum() / n)
 
 
-def bce_loss_grad(s: np.ndarray, s_hat: np.ndarray) -> np.ndarray:
-    """Gradient of :func:`bce_loss` with respect to the predictions."""
+def bce_loss_grad(s: np.ndarray, s_hat: np.ndarray, batch: int) -> np.ndarray:
+    """Gradient of :func:`bce_loss` over ``batch`` rows with respect to the predictions.
+
+    Elementwise, so the rows ``s``/``s_hat`` may be any slice of the batch:
+    each entry is the one the whole batch gives.
+    """
     p = np.clip(s_hat, _BCE_CLIP, 1.0 - _BCE_CLIP)
-    n = s.shape[0]
-    return -(s / p - (1.0 - s) / (1.0 - p)) / n
+    return -(s / p - (1.0 - s) / (1.0 - p)) / batch
 
 
 # Adam moment decay rates and denominator floor

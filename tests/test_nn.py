@@ -241,7 +241,7 @@ def test_bce_gradient_matches_finite_differences():
     rng = np.random.default_rng(13)
     s = rng.integers(0, 2, size=(6, 3)).astype(float)
     s_hat = rng.uniform(0.2, 0.8, size=(6, 3))
-    g = nn.bce_loss_grad(s, s_hat)
+    g = nn.bce_loss_grad(s, s_hat, len(s))
     step = 1e-7
     for i in range(6):
         for j in range(3):
